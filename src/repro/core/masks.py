@@ -119,7 +119,7 @@ class FilterMask:
         """Fraction of image pixels inside the dirty bounding box.
 
         0 for the zero mask, 1 when the nonzero support spans the whole
-        image; the incremental path uses it to decide between the windowed
+        image; the incremental path uses it to decide between the splice
         and the dense batched forward pass.
         """
         total = self.values.shape[0] * self.values.shape[1]

@@ -40,7 +40,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.core.config import default_use_activation_cache, default_use_delta_reuse
-from repro.core.masks import FilterMask, apply_mask
+from repro.core.masks import FilterMask
 from repro.detection.boxes import iou_matrix
 from repro.detection.prediction import Prediction
 from repro.detectors.activation_cache import (
@@ -274,13 +274,11 @@ class ButterflyObjectives:
             else:
                 self.clean_activations = self.detector.clean_activations(self.image)
         # Delta reuse rides on the clean bundle: attach a per-scene store
-        # when the detector supports reuse and the owning cache did not
-        # already provide one (a store-managed bundle shares its store's
-        # lifecycle — dropping the bundle drops the memoised deltas too).
+        # when the owning cache did not already provide one (a
+        # store-managed bundle shares its store's lifecycle — dropping the
+        # bundle drops the memoised deltas too).
         self._delta_reuse_active = (
-            self.use_delta_reuse
-            and self.clean_activations is not None
-            and getattr(self.detector, "supports_delta_reuse", False)
+            self.use_delta_reuse and self.clean_activations is not None
         )
         if self._delta_reuse_active and self.clean_activations.delta is None:
             self.clean_activations.delta = DeltaActivationStore(
@@ -432,27 +430,18 @@ class ButterflyObjectives:
         """Detector prediction on the perturbed image, via the incremental
         path when clean activations are cached (bit-identical either way).
 
-        An approximate fidelity routes through the batch delta API (the
-        fidelity-aware entry point); the default exact path is unchanged.
+        An approximate fidelity at full scene scale rides the same batch
+        route; a downscaled-surrogate fidelity answers exactly here.
         """
         fidelity = self._fidelity
-        if not fidelity.is_exact and fidelity.scene_scale == 1:
-            if self.clean_activations is not None:
-                return self.detector.predict_delta_batch(
-                    self.image,
-                    mask[None, ...],
-                    [bbox],
-                    self.clean_activations,
-                    fidelity=fidelity,
-                )[0]
-            return self.detector.predict_batch_at(
-                apply_mask(self.image, mask)[None, ...], fidelity
-            )[0]
-        if self.clean_activations is not None:
-            return self.detector.predict_delta(
-                self.image, mask, bbox, self.clean_activations
-            )
-        return self.detector.predict(apply_mask(self.image, mask))
+        approximate = not fidelity.is_exact and fidelity.scene_scale == 1
+        return self.detector.predict_delta_batch(
+            self.image,
+            mask[None, ...],
+            [bbox],
+            self.clean_activations,
+            fidelity=fidelity if approximate else None,
+        )[0]
 
     def raw_objectives(self, mask: np.ndarray) -> dict[str, float]:
         """The paper-oriented objective values for reporting.
@@ -648,28 +637,20 @@ class ButterflyObjectives:
                 # Population boundary: shared-memory mappings of entries
                 # evicted during the previous batch are safe to close now.
                 delta.release_evicted()
-            if not fidelity.is_exact:
-                # Approximate phase: fidelity-aware routing, no ancestry —
-                # the delta store's stored predictions are exact-only.
-                predictions = self.detector.predict_delta_batch(
-                    self.image,
-                    masks,
-                    bboxes,
-                    self.clean_activations,
-                    fidelity=fidelity,
-                )
-            elif self._delta_reuse_active:
-                predictions = self.detector.predict_delta_batch(
-                    self.image,
-                    masks,
-                    bboxes,
-                    self.clean_activations,
-                    ancestry=list(ancestry) if ancestry is not None else None,
-                )
-            else:
-                predictions = self.detector.predict_delta_batch(
-                    self.image, masks, bboxes, self.clean_activations
-                )
+            # Approximate batches ignore ancestry: the delta store's stored
+            # predictions are exact-only.
+            predictions = self.detector.predict_delta_batch(
+                self.image,
+                masks,
+                bboxes,
+                self.clean_activations,
+                ancestry=(
+                    list(ancestry)
+                    if self._delta_reuse_active and ancestry is not None
+                    else None
+                ),
+                fidelity=fidelity,
+            )
         else:
             perturbed_images = self.apply_masks(
                 masks, out=self._population_scratch(masks.shape)

@@ -29,9 +29,11 @@ from repro.nn.incremental import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.detectors.fidelity import FidelityConfig
 
-#: A "splice item" of the generalised windowed hook: the population index,
-#: the pixel window to recompute, the source grids to splice into, and the
-#: prediction to return when the window touches no grid cell.
+#: One mask's work order for :meth:`Detector._predict_delta_spliced_batch`:
+#: the population index, the pixel window to recompute, the source grids to
+#: splice into (the clean bundle's tensors or an evaluated ancestor's stored
+#: grids), and the prediction to return when the window touches no grid
+#: cell.
 SpliceItem = tuple[int, BBox, dict, Prediction]
 
 
@@ -93,26 +95,21 @@ class Detector(abc.ABC):
     #: results are bit-identical for every chunk size.
     batch_chunk: int = 2
 
-    #: Whether :meth:`clean_activations` returns a usable cache (i.e. the
-    #: detector implements a windowed dirty-region forward pass).
+    #: Whether the detector implements dirty-region ("delta") inference:
+    #: :meth:`clean_activations` returns a usable bundle and
+    #: :meth:`_predict_delta_spliced_batch` splices a recomputed window into
+    #: the clean grids or an evaluated ancestor's stored grids.  Without it
+    #: every delta call runs the dense forward pass.
     supports_incremental: bool = False
 
-    #: Whether the detector implements :meth:`_predict_delta_spliced_batch`
-    #: — the generalised windowed hook that can splice against an evaluated
-    #: ancestor's grids instead of the clean bundle (cross-generation delta
-    #: reuse).  Third-party detectors that only override the legacy
-    #: ``_predict_delta_windowed*`` hooks keep working: ancestry is simply
-    #: ignored for them.
-    supports_delta_reuse: bool = False
-
-    #: Dirty-bounding-box area fraction (of the image plane) above which the
-    #: delta path routes a mask through the dense batched forward pass
-    #: instead of the windowed one.  Near-full windows pay the windowed
-    #: path's gather/splice overhead without skipping much work; both paths
-    #: are bit-identical, so this only affects speed.
+    #: Dirty-window area fraction (of the image plane) above which
+    #: :meth:`splices` sends a mask through the dense batched forward pass
+    #: instead of the splice.  Near-full windows pay the splice's
+    #: gather overhead without skipping much work; both routes are
+    #: bit-identical, so this only affects speed.
     incremental_dense_fraction: float = 0.5
 
-    #: Chunk size for the batched tail stages of the windowed delta path.
+    #: Chunk size for the batched tail stages of the splice hook.
     #: Spliced feature grids are two orders of magnitude smaller than full
     #: images, so much larger chunks fit in cache than
     #: :attr:`batch_chunk` allows; results are bit-identical for every
@@ -168,6 +165,17 @@ class Detector(abc.ABC):
         """
         return None
 
+    def splices(self, bbox: BBox | None, plane: tuple[int, int]) -> bool:
+        """Whether a dirty window is small enough to splice, rather than
+        send its mask through the dense forward pass.
+
+        The one routing rule of the delta path: a window whose area
+        fraction of the ``plane`` exceeds :attr:`incremental_dense_fraction`
+        goes dense.  Empty windows always pass; ``None`` (unknown extent)
+        counts as the whole plane.
+        """
+        return bbox_area_fraction(bbox, plane) <= self.incremental_dense_fraction
+
     def clean_activations_delta(
         self,
         image: np.ndarray,
@@ -186,10 +194,10 @@ class Detector(abc.ABC):
         so a loose bound never changes the result.
 
         Returns ``(bundle, used_incremental)`` where ``used_incremental``
-        reports whether the bundle was derived through the windowed splice
-        (a *frame hit*) or rebuilt densely (``previous`` missing, shapes
+        reports whether the bundle was derived through the splice (a
+        *frame hit*) or rebuilt densely (``previous`` missing, shapes
         differing, the diff too large to profit, or the architecture not
-        supporting the spliced hook).  Either way the bundle is
+        supporting incremental inference).  Either way the bundle is
         bit-identical to :meth:`clean_activations` on ``image`` — the
         splice runs with an all-zero mask, so the recomputed window sees
         exactly the new frame's clean pixels, and identical frames share
@@ -197,11 +205,7 @@ class Detector(abc.ABC):
         contract).
         """
         image = validate_image(image)
-        if (
-            previous is None
-            or not self.supports_incremental
-            or not self.supports_delta_reuse
-        ):
+        if previous is None or not self.supports_incremental:
             return self.clean_activations(image), False
         clean_image = np.clip(image + 0.0, 0.0, 255.0)
         if previous.clean_image.shape != clean_image.shape:
@@ -216,8 +220,7 @@ class Detector(abc.ABC):
                 ),
                 True,
             )
-        plane = (image.shape[0], image.shape[1])
-        if bbox_area_fraction(diff, plane) > self.incremental_dense_fraction:
+        if not self.splices(diff, (image.shape[0], image.shape[1])):
             return self.clean_activations(image), False
         predictions, states = self._predict_delta_spliced_batch(
             clean_image,
@@ -245,68 +248,23 @@ class Detector(abc.ABC):
         """Prediction on ``clip(image + mask, 0, 255)``, bit-identical to
         :meth:`predict` on the perturbed image.
 
-        With a ``clean`` activation bundle (from :meth:`clean_activations`)
-        the detector recomputes only the mask's dirty region — the nonzero
-        bounding box dilated by each stage's receptive field — and splices
-        it into the cached clean activations.  ``dirty_bound`` optionally
-        restricts the nonzero scan to a window known to contain every
-        nonzero pixel (e.g. the O(1) bound propagated by the NSGA-II
-        operators); the exact box is still computed, so a loose bound never
-        changes the result.  Without ``clean`` the perturbed image is
-        simply run through the full forward pass.
-
-        ``ancestry`` opts the mask into cross-generation reuse against the
-        bundle's :class:`DeltaActivationStore` (see
-        :meth:`predict_delta_batch` for the dict shape); every route stays
-        bit-identical, so ancestry only affects speed.
+        The one-mask form of :meth:`predict_delta_batch`, which documents
+        the routing: with a ``clean`` bundle (from
+        :meth:`clean_activations`) only the mask's dirty region is
+        recomputed and spliced into the cached activations; without one
+        the perturbed image runs through the full forward pass.
+        ``dirty_bound`` optionally restricts the nonzero scan to a window
+        known to contain every nonzero pixel, and ``ancestry`` (one dict of
+        the shape :meth:`predict_delta_batch` takes) opts the mask into
+        cross-generation reuse; neither ever changes the result.
         """
-        image = validate_image(image)
-        mask = self._validate_mask(image, mask)
-        if clean is not None and self.supports_incremental:
-            pixel_bbox = mask_nonzero_bbox(mask, within=dirty_bound)
-            if bbox_is_empty(pixel_bbox):
-                return clean.prediction
-            plane = (image.shape[0], image.shape[1])
-            delta_store = clean.delta
-            if (
-                ancestry is not None
-                and self.supports_delta_reuse
-                and delta_store is not None
-            ):
-                outcome, payload = self._ancestor_splice(
-                    mask, pixel_bbox, plane, delta_store, ancestry
-                )
-                if outcome == "hit":
-                    return payload
-                if outcome == "splice":
-                    rel_bbox, tensors, fallback = payload
-                    item: SpliceItem = (0, rel_bbox, tensors, fallback)
-                elif (
-                    bbox_area_fraction(pixel_bbox, plane)
-                    <= self.incremental_dense_fraction
-                ):
-                    item = (0, pixel_bbox, clean.tensors, clean.prediction)
-                else:
-                    item = None  # type: ignore[assignment]
-                if item is not None:
-                    spliced, states = self._predict_delta_spliced_batch(
-                        image, mask[None, ...], [item]
-                    )
-                    self._store_delta(
-                        delta_store,
-                        ancestry.get("fingerprint"),
-                        mask,
-                        pixel_bbox,
-                        spliced[0],
-                        states[0],
-                    )
-                    return spliced[0]
-            elif (
-                bbox_area_fraction(pixel_bbox, plane)
-                <= self.incremental_dense_fraction
-            ):
-                return self._predict_delta_windowed(image, mask, pixel_bbox, clean)
-        return self.predict(np.clip(image + mask, 0.0, 255.0))
+        return self.predict_delta_batch(
+            image,
+            np.asarray(mask, dtype=np.float64)[None, ...],
+            [dirty_bound],
+            clean,
+            ancestry=None if ancestry is None else [ancestry],
+        )[0]
 
     def predict_delta_batch(
         self,
@@ -319,12 +277,13 @@ class Detector(abc.ABC):
     ) -> list[Prediction]:
         """Per-mask predictions on ``clip(image + masks[b], 0, 255)``.
 
-        The population form of :meth:`predict_delta`: each mask is routed
-        by its dirty-region size — empty regions answer from the cached
-        clean prediction, sparse regions go through the windowed recompute
-        (batched over the population where the architecture allows), and
-        dense regions fall back to the stacked :meth:`predict_batch` fast
-        path.  All three routes are bit-identical to :meth:`predict` per
+        With a ``clean`` bundle each mask is routed by its dirty region:
+        an empty region answers the cached clean prediction; a region that
+        :meth:`splices` is recomputed as a window and spliced into the
+        clean grids (batched over the population by
+        :meth:`_predict_delta_spliced_batch`); a larger one, or any mask
+        without a bundle, goes through the stacked :meth:`predict_batch`
+        forward pass.  Every route is bit-identical to :meth:`predict` per
         mask, so the routing only affects speed.
 
         ``ancestry`` (one dict or ``None`` per mask) opts a mask into
@@ -338,27 +297,31 @@ class Detector(abc.ABC):
         bit-identical to its ancestor answers from the stored prediction
         outright.  The bound is only a scan window: the exact diff is always
         recomputed, so a loose bound never changes the result, and every
-        route remains bit-identical to :meth:`predict`.
+        route remains bit-identical to :meth:`predict`.  Masks without
+        ancestry are spliced against the clean grids and never stored.
 
         ``fidelity`` opts the whole batch into approximate evaluation
         (windowed attention / reduced precision; see
-        :mod:`repro.detectors.fidelity`).  Exact (or ``None``) fidelity is
-        the unchanged bit-identical path.  Approximate fidelities disable
-        cross-generation reuse for the batch: the delta store's spliced
-        grids are exact and may be reused later at exact fidelity, but its
-        stored *predictions* (served on an empty relative diff) are not,
-        so approximate batches never touch it in either direction.
+        :mod:`repro.detectors.fidelity`): the same routes run, with the
+        splice hook and :meth:`predict_batch_at` allowed to approximate.
+        Exact (or ``None``) fidelity is the bit-identical path.  An
+        approximate batch ignores ``ancestry``: the delta store holds exact
+        grids and predictions only, so approximate results are neither
+        served from it nor stored in it.
+
+        Raises ``ValueError`` when the image or any mask holds a
+        non-finite value.
         """
         image = validate_image(image)
         if fidelity is not None and fidelity.is_exact:
             fidelity = None
-        if fidelity is not None:
-            ancestry = None
         masks = np.asarray(masks, dtype=np.float64)
         if masks.ndim != 4 or masks.shape[1:] != image.shape:
             raise ValueError(
                 f"expected masks of shape (B, *{image.shape}), got {masks.shape}"
             )
+        if not np.isfinite(masks).all():
+            raise ValueError("masks must hold finite values only")
         count = masks.shape[0]
         if dirty_bounds is None:
             dirty_bounds = [None] * count
@@ -366,60 +329,44 @@ class Detector(abc.ABC):
             raise ValueError(
                 f"expected {count} dirty bounds, got {len(dirty_bounds)}"
             )
+        incremental = clean is not None and self.supports_incremental
         delta_store: DeltaActivationStore | None = None
-        if (
-            ancestry is not None
-            and clean is not None
-            and self.supports_incremental
-            and self.supports_delta_reuse
-        ):
+        if ancestry is not None and fidelity is None and incremental:
             if len(ancestry) != count:
                 raise ValueError(
                     f"expected {count} ancestry entries, got {len(ancestry)}"
                 )
             delta_store = clean.delta
         predictions: list[Prediction | None] = [None] * count
-        sparse: list[tuple[int, BBox]] = []
         spliced_items: list[SpliceItem] = []
-        store_meta: dict[int, tuple[bytes | None, BBox]] = {}
+        # Per spliced item: the fingerprint to store its grids under (None
+        # stores nothing) and the mask's own dirty box.
+        store_meta: list[tuple[bytes | None, BBox]] = []
         dense: list[int] = []
-        if clean is not None and self.supports_incremental:
+        if incremental:
             plane = (image.shape[0], image.shape[1])
             for index in range(count):
                 bbox = mask_nonzero_bbox(masks[index], within=dirty_bounds[index])
                 if bbox_is_empty(bbox):
                     predictions[index] = clean.prediction
                     continue
-                if delta_store is not None:
-                    info = ancestry[index]  # type: ignore[index]
-                    outcome, payload = self._ancestor_splice(
-                        masks[index], bbox, plane, delta_store, info
+                info = ancestry[index] if delta_store is not None else None
+                outcome, payload = self._ancestor_splice(
+                    masks[index], bbox, plane, delta_store, info
+                )
+                if outcome == "hit":
+                    predictions[index] = payload
+                    continue
+                if outcome == "splice":
+                    spliced_items.append((index, *payload))
+                elif self.splices(bbox, plane):
+                    spliced_items.append(
+                        (index, bbox, clean.tensors, clean.prediction)
                     )
-                    if outcome == "hit":
-                        predictions[index] = payload
-                        continue
-                    if outcome == "splice":
-                        rel_bbox, tensors, fallback = payload
-                        spliced_items.append((index, rel_bbox, tensors, fallback))
-                        store_meta[index] = (
-                            info.get("fingerprint") if info else None,
-                            bbox,
-                        )
-                        continue
-                if bbox_area_fraction(bbox, plane) <= self.incremental_dense_fraction:
-                    if delta_store is not None:
-                        info = ancestry[index]  # type: ignore[index]
-                        spliced_items.append(
-                            (index, bbox, clean.tensors, clean.prediction)
-                        )
-                        store_meta[index] = (
-                            info.get("fingerprint") if info else None,
-                            bbox,
-                        )
-                    else:
-                        sparse.append((index, bbox))
                 else:
                     dense.append(index)
+                    continue
+                store_meta.append((info.get("fingerprint") if info else None, bbox))
         else:
             dense = list(range(count))
         if dense:
@@ -431,30 +378,16 @@ class Detector(abc.ABC):
             )
             for index, prediction in zip(dense, batch):
                 predictions[index] = prediction
-        if sparse:
-            # The fidelity kwarg is only forwarded when approximate, so
-            # third-party overrides with the pre-fidelity signature keep
-            # working on the (default) exact path.
-            windowed = (
-                self._predict_delta_windowed_batch(image, masks, sparse, clean)
-                if fidelity is None
-                else self._predict_delta_windowed_batch(
-                    image, masks, sparse, clean, fidelity=fidelity
-                )
-            )
-            for (index, _), prediction in zip(sparse, windowed):
-                predictions[index] = prediction
         if spliced_items:
             spliced, states = self._predict_delta_spliced_batch(
-                image, masks, spliced_items
+                image, masks, spliced_items, fidelity=fidelity, clean=clean
             )
-            for (index, _, _, _), prediction, state in zip(
-                spliced_items, spliced, states
+            for (index, *_), prediction, state, (fingerprint, bbox) in zip(
+                spliced_items, spliced, states, store_meta
             ):
                 predictions[index] = prediction
-                fingerprint, own_bbox = store_meta[index]
                 self._store_delta(
-                    delta_store, fingerprint, masks[index], own_bbox, prediction, state
+                    delta_store, fingerprint, masks[index], bbox, prediction, state
                 )
         return predictions  # type: ignore[return-value]
 
@@ -463,7 +396,7 @@ class Detector(abc.ABC):
         mask: np.ndarray,
         bbox: BBox,
         plane: tuple[int, int],
-        delta_store: DeltaActivationStore,
+        delta_store: DeltaActivationStore | None,
         info: dict | None,
     ):
         """Route one mask against its ancestor's stored grids, if cheaper.
@@ -472,10 +405,11 @@ class Detector(abc.ABC):
         the stored ancestor (nothing to recompute), ``("splice", (rel_bbox,
         tensors, fallback))`` when re-splicing the exact relative diff
         window into the ancestor's grids beats the clean-bundle splice, and
-        ``("none", None)`` otherwise (no usable ancestor, or the relative
-        window is not smaller than the mask's own dirty region).
+        ``("none", None)`` otherwise (no ancestry or store, no usable
+        ancestor, or the relative window is not smaller than the mask's own
+        dirty region).
         """
-        if info is None:
+        if info is None or delta_store is None:
             return "none", None
         ancestor_key = info.get("ancestor")
         if ancestor_key is None:
@@ -489,10 +423,7 @@ class Detector(abc.ABC):
         rel_bbox = entry.diff_bbox(mask, window)
         if bbox_is_empty(rel_bbox):
             return "hit", entry.prediction
-        if (
-            bbox_area(rel_bbox) <= bbox_area(bbox)
-            and bbox_area_fraction(rel_bbox, plane) <= self.incremental_dense_fraction
-        ):
+        if bbox_area(rel_bbox) <= bbox_area(bbox) and self.splices(rel_bbox, plane):
             return "splice", (rel_bbox, entry.tensors, entry.prediction)
         return "none", None
 
@@ -525,73 +456,35 @@ class Detector(abc.ABC):
             ),
         )
 
-    def _validate_mask(self, image: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        mask = np.asarray(mask, dtype=np.float64)
-        if mask.shape != image.shape:
-            raise ValueError(
-                f"mask shape {mask.shape} does not match image shape {image.shape}"
-            )
-        return mask
-
-    def _predict_delta_windowed(
-        self,
-        image: np.ndarray,
-        mask: np.ndarray,
-        pixel_bbox: BBox,
-        clean: CleanActivations,
-    ) -> Prediction:
-        """Architecture hook: windowed recompute of one sparse mask.
-
-        Only reached when :attr:`supports_incremental` is True; such
-        detectors must override it.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} declares incremental support but does not "
-            "implement _predict_delta_windowed"
-        )
-
-    def _predict_delta_windowed_batch(
-        self,
-        image: np.ndarray,
-        masks: np.ndarray,
-        items: list[tuple[int, BBox]],
-        clean: CleanActivations,
-        fidelity: "FidelityConfig | None" = None,
-    ) -> list[Prediction]:
-        """Windowed recompute of the sparse members of a population.
-
-        The generic form loops :meth:`_predict_delta_windowed` and ignores
-        ``fidelity`` (approximation is a permission, exact answers are
-        always valid); architectures override it to batch the shared tail
-        stages (probabilities, attention) across the population and to
-        honour approximate fidelities where they implement them.
-        """
-        return [
-            self._predict_delta_windowed(image, masks[index], bbox, clean)
-            for index, bbox in items
-        ]
-
     def _predict_delta_spliced_batch(
         self,
         image: np.ndarray,
         masks: np.ndarray,
         items: list[SpliceItem],
+        fidelity: "FidelityConfig | None" = None,
+        clean: CleanActivations | None = None,
     ) -> tuple[list[Prediction], list[dict | None]]:
-        """Architecture hook: windowed recompute against explicit sources.
+        """Architecture hook: windowed recompute of the spliced masks.
 
-        The generalised form of :meth:`_predict_delta_windowed_batch`: each
-        item names the grids to splice into (the clean bundle's tensors or
-        an evaluated ancestor's stored grids — both carry the same stage
-        names), so the same code path serves first-order and
-        cross-generation incremental inference.  Returns the per-item
-        predictions plus the per-item *pre-finalisation* spliced grids
-        (``None`` when the window touched no cell and the fallback
-        prediction was returned) for the caller to memoize.  Only reached
-        when :attr:`supports_delta_reuse` is True; such detectors must
-        override it.
+        The only delta-inference hook.  Each item names the window to
+        recompute and the grids to splice it into — the clean bundle's
+        tensors or an evaluated ancestor's stored grids, which carry the
+        same stage names — so one code path serves first-order,
+        cross-generation and frame-to-frame incremental inference.
+        Returns the per-item predictions plus the per-item
+        *pre-finalisation* spliced grids (``None`` when the window touched
+        no cell and the fallback prediction was returned) for the caller
+        to memoize.
+
+        ``fidelity`` is ``None`` (exact) or an approximate fidelity the
+        architecture may honour; approximate batches only carry
+        clean-source items, and ``clean`` is that bundle, on which
+        approximate modes may memoize their own clean-scene state.  Only
+        reached when :attr:`supports_incremental` is True; such detectors
+        must override it.
         """
         raise NotImplementedError(
-            f"{type(self).__name__} declares delta-reuse support but does not "
+            f"{type(self).__name__} declares incremental support but does not "
             "implement _predict_delta_spliced_batch"
         )
 
@@ -630,15 +523,19 @@ class Detector(abc.ABC):
 
 
 def validate_image(image: np.ndarray) -> np.ndarray:
-    """Check that ``image`` is an (L, W, 3) array and return it as float64."""
+    """Check that ``image`` is a finite (L, W, 3) array and return it as
+    float64."""
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 3 or image.shape[2] != 3:
         raise ValueError(f"expected an RGB image of shape (L, W, 3), got {image.shape}")
+    if not np.isfinite(image).all():
+        raise ValueError("image must hold finite values only")
     return image
 
 
 def validate_image_batch(images: np.ndarray) -> np.ndarray:
-    """Check that ``images`` is a (B, L, W, 3) stack and return it as float64.
+    """Check that ``images`` is a finite (B, L, W, 3) stack and return it as
+    float64.
 
     A sequence of (L, W, 3) images of equal shape is stacked automatically.
     """
@@ -649,4 +546,6 @@ def validate_image_batch(images: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"expected an RGB image batch of shape (B, L, W, 3), got {images.shape}"
         )
+    if not np.isfinite(images).all():
+        raise ValueError("images must hold finite values only")
     return images

@@ -56,7 +56,6 @@ class SingleStageDetector(Detector):
 
     architecture = "single_stage"
     supports_incremental = True
-    supports_delta_reuse = True
 
     def __init__(
         self,
@@ -252,85 +251,24 @@ class SingleStageDetector(Detector):
                 smoothed = self._smooth(features)
         return features, smoothed
 
-    def _delta_feature_grid(
-        self,
-        image: np.ndarray,
-        mask: np.ndarray,
-        pixel_bbox: BBox,
-        clean: CleanActivations,
-    ) -> np.ndarray | None:
-        """Finalised feature grid of the perturbed image, or ``None`` when
-        the dirty region touches no grid cell (prediction is the clean one).
-
-        The windowed splice happens in :meth:`_delta_feature_state`; this
-        finishes with the whole-grid blend and global-context stages —
-        every step bit-identical to the full pass.
-        """
-        state = self._delta_feature_state(image, mask, pixel_bbox, clean.tensors)
-        if state is None:
-            return None
-        return self._finalize_features(*state)
-
-    def _predict_delta_windowed(
-        self,
-        image: np.ndarray,
-        mask: np.ndarray,
-        pixel_bbox: BBox,
-        clean: CleanActivations,
-    ) -> Prediction:
-        grid = self._delta_feature_grid(image, mask, pixel_bbox, clean)
-        if grid is None:
-            return clean.prediction
-        probabilities = self.prototypes.probabilities(grid)
-        return self._decode(probabilities, (image.shape[0], image.shape[1]))
-
-    def _predict_delta_windowed_batch(
-        self,
-        image: np.ndarray,
-        masks: np.ndarray,
-        items: list[tuple[int, BBox]],
-        clean: CleanActivations,
-        fidelity=None,
-    ) -> list[Prediction]:
-        """Batch the classification head over the sparse population members.
-
-        The per-member windowed work happens in a loop (window sizes
-        differ), but the prototype probabilities run once over the stacked
-        grids — per-cell operations, bit-identical to the per-grid call.
-        A reduced-precision ``fidelity`` quantises the stacked grids before
-        the head (the splice itself is already windowed and stays exact);
-        exact/``None`` is the unchanged parity path.
-        """
-        grids = [
-            self._delta_feature_grid(image, masks[index], bbox, clean)
-            for index, bbox in items
-        ]
-        live = [i for i, grid in enumerate(grids) if grid is not None]
-        predictions: list[Prediction] = [clean.prediction] * len(items)
-        if live:
-            stacked = np.stack([grids[i] for i in live], axis=0)
-            if fidelity is not None and fidelity.numpy_dtype != np.float64:
-                stacked = stacked.astype(fidelity.numpy_dtype)
-            probabilities = self.prototypes.probabilities(stacked)
-            image_shape = (image.shape[0], image.shape[1])
-            decoded = self._decode_batch(probabilities, image_shape)
-            for i, prediction in zip(live, decoded):
-                predictions[i] = prediction
-        return predictions
-
     def _predict_delta_spliced_batch(
         self,
         image: np.ndarray,
         masks: np.ndarray,
         items: list[tuple[int, BBox, dict, Prediction]],
+        fidelity=None,
+        clean: CleanActivations | None = None,
     ) -> tuple[list[Prediction], list[dict | None]]:
-        """Windowed recompute of sparse members against explicit sources.
+        """Splice each item's window into its source grids, then batch the
+        classification head.
 
-        Identical arithmetic to :meth:`_predict_delta_windowed_batch` — the
-        per-cell prototype probabilities are independent per grid, so the
-        stacked head gives bit-identical results however items mix clean
-        and ancestor sources — plus the pre-finalisation grids for the
-        delta store.
+        The per-item windowed work (:meth:`_delta_feature_state`) runs in a
+        loop because window sizes differ; the prototype probabilities run
+        once over the stacked finalised grids — per-cell operations, so the
+        results are bit-identical however items mix clean and ancestor
+        sources.  A reduced-precision ``fidelity`` casts the stacked grids
+        before the head, as :meth:`predict_batch_at` does for dense
+        images; the splice itself, and so the returned state, stays exact.
 
         The temporal frame-to-frame derivation (:meth:`~repro.detectors.
         base.Detector.clean_activations_delta`) also routes here, with a
@@ -347,11 +285,12 @@ class SingleStageDetector(Detector):
         live = [i for i, state in enumerate(states) if state is not None]
         predictions: list[Prediction] = [fallback for _, _, _, fallback in items]
         if live:
-            probabilities = self.prototypes.probabilities(
-                np.stack(
-                    [self._finalize_features(*states[i]) for i in live], axis=0
-                )
+            stacked = np.stack(
+                [self._finalize_features(*states[i]) for i in live], axis=0
             )
+            if fidelity is not None and fidelity.numpy_dtype != np.float64:
+                stacked = stacked.astype(fidelity.numpy_dtype)
+            probabilities = self.prototypes.probabilities(stacked)
             image_shape = (image.shape[0], image.shape[1])
             decoded = self._decode_batch(probabilities, image_shape)
             for i, prediction in zip(live, decoded):

@@ -79,7 +79,6 @@ class TransformerDetector(Detector):
 
     architecture = "transformer"
     supports_incremental = True
-    supports_delta_reuse = True
 
     def __init__(
         self,
@@ -403,75 +402,6 @@ class TransformerDetector(Detector):
         raw[cr0:cr1, cc0:cc1] = self.extractor.window_features(image, mask, cell_bbox)
         return raw
 
-    def _delta_raw_grid(
-        self,
-        image: np.ndarray,
-        mask: np.ndarray,
-        pixel_bbox: BBox,
-        clean: CleanActivations,
-    ) -> np.ndarray | None:
-        """Raw patch tokens of the perturbed image, spliced into the cached
-        clean grid; ``None`` when no cell is touched (clean prediction
-        stands — unperturbed tokens produce the clean attention pattern).
-        """
-        return self._delta_raw_state(image, mask, pixel_bbox, clean.tensors)
-
-    def _predict_delta_windowed(
-        self,
-        image: np.ndarray,
-        mask: np.ndarray,
-        pixel_bbox: BBox,
-        clean: CleanActivations,
-    ) -> Prediction:
-        raw = self._delta_raw_grid(image, mask, pixel_bbox, clean)
-        if raw is None:
-            return clean.prediction
-        probabilities = self.prototypes.probabilities(self._mix_features(raw))
-        return self._decode(probabilities, (image.shape[0], image.shape[1]))
-
-    def _predict_delta_windowed_batch(
-        self,
-        image: np.ndarray,
-        masks: np.ndarray,
-        items: list[tuple[int, BBox]],
-        clean: CleanActivations,
-        fidelity=None,
-    ) -> list[Prediction]:
-        """Splice each member's dirty window, then batch the global stages.
-
-        The local feature extraction runs per member on its own window (the
-        window sizes differ); the global attention mixing and the
-        classification head run over the stacked spliced grids in the same
-        cache-friendly chunks as :meth:`predict_batch`.  Attention carries
-        the batch axis through every token operation unchanged, so per-grid
-        results are bit-identical to the single-image delta path.
-
-        An approximate ``fidelity`` routes through the windowed-attention
-        recompute (:meth:`_approx_windowed_grid`) instead — the opt-in
-        bounded-error path; ``None``/exact is the unchanged parity path.
-        """
-        if fidelity is not None and not fidelity.is_exact:
-            return self._approx_delta_batch(image, masks, items, clean, fidelity)
-        grids = [
-            self._delta_raw_grid(image, masks[index], bbox, clean)
-            for index, bbox in items
-        ]
-        live = [i for i, grid in enumerate(grids) if grid is not None]
-        predictions: list[Prediction] = [clean.prediction] * len(items)
-        if live:
-            stacked = np.stack([grids[i] for i in live], axis=0)
-            image_shape = (image.shape[0], image.shape[1])
-            chunk = max(1, int(self.delta_batch_chunk))
-            decoded: list[Prediction] = []
-            for start in range(0, stacked.shape[0], chunk):
-                probabilities = self.prototypes.probabilities(
-                    self._mix_features(stacked[start : start + chunk])
-                )
-                decoded.extend(self._decode_batch(probabilities, image_shape))
-            for i, prediction in zip(live, decoded):
-                predictions[i] = prediction
-        return predictions
-
     def _approx_delta_batch(
         self,
         image: np.ndarray,
@@ -604,16 +534,24 @@ class TransformerDetector(Detector):
         image: np.ndarray,
         masks: np.ndarray,
         items: list[tuple[int, BBox, dict, Prediction]],
+        fidelity=None,
+        clean: CleanActivations | None = None,
     ) -> tuple[list[Prediction], list[dict | None]]:
-        """Windowed recompute of sparse members against explicit sources.
+        """Splice each item's window into its source raw grid, then batch
+        the global stages.
 
-        Cross-generation reuse skips re-extracting the ancestor's patch
-        tokens — only the relative dirty window is spliced — but the global
-        attention stage (the parity-capped part of the transformer path) is
-        always recomputed from the full spliced grid, in the same chunks as
-        :meth:`_predict_delta_windowed_batch`; attention carries the batch
-        axis through every token operation unchanged, so per-grid results
-        are bit-identical however items mix clean and ancestor sources.
+        The local feature extraction runs per item on its own window (the
+        window sizes differ); cross-generation reuse re-extracts only the
+        relative window against an ancestor's stored tokens.  The global
+        attention mixing and the classification head then run over the
+        stacked spliced grids in chunks of :attr:`delta_batch_chunk`;
+        attention carries the batch axis through every token operation
+        unchanged, so per-grid results are bit-identical to
+        :meth:`predict` however items mix clean and ancestor sources.
+
+        An approximate ``fidelity`` instead runs the bounded-error
+        windowed-attention recompute (:meth:`_approx_delta_batch`) against
+        the ``clean`` bundle; it returns no state, so nothing is stored.
 
         The temporal frame-to-frame derivation (:meth:`~repro.detectors.
         base.Detector.clean_activations_delta`) also routes here, with a
@@ -623,6 +561,12 @@ class TransformerDetector(Detector):
         new frame's clean activations bit-exactly, and the returned state
         dicts use the clean bundle's stage name (``raw``).
         """
+        if fidelity is not None:
+            windows = [(index, bbox) for index, bbox, _, _ in items]
+            return (
+                self._approx_delta_batch(image, masks, windows, clean, fidelity),
+                [None] * len(items),
+            )
         grids = [
             self._delta_raw_state(image, masks[index], bbox, source)
             for index, bbox, source, _ in items

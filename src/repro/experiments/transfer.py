@@ -54,7 +54,7 @@ from repro.experiments.jobs import (
     build_cached,
     release_plan_models,
 )
-from repro.nn.incremental import BBox, bbox_area_fraction, bbox_is_empty
+from repro.nn.incremental import BBox
 
 
 @dataclass
@@ -156,11 +156,11 @@ class TransferEvalJob:
         self.masks = np.asarray(self.masks, dtype=np.float64)
 
     def _any_mask_sparse(self, detector) -> bool:
-        """Whether any mask's exact dirty bound can use the windowed path.
+        """Whether any mask's exact dirty bound can take the splice route.
 
         The activation bundle only pays for itself when at least one mask
-        routes through the empty/windowed delta path; a column of dense
-        masks (dirty region above the detector's dense-fallback fraction)
+        is answered by the clean prediction or the splice; a column of
+        dense masks (see :meth:`~repro.detectors.base.Detector.splices`)
         goes straight to the batched forward pass, where building and
         splicing clean activations would be pure overhead.  With unknown
         bounds we optimistically build the bundle (the batch call computes
@@ -169,12 +169,7 @@ class TransferEvalJob:
         if self.dirty_bounds is None:
             return True
         plane = (self.image.shape[0], self.image.shape[1])
-        return any(
-            bbox_is_empty(bound)
-            or bbox_area_fraction(bound, plane)
-            <= detector.incremental_dense_fraction
-            for bound in self.dirty_bounds
-        )
+        return any(detector.splices(bound, plane) for bound in self.dirty_bounds)
 
     def execute(self, context: WorkerContext) -> JobOutcome:
         start = time.perf_counter()

@@ -92,6 +92,34 @@ class TestDetectorInterface:
         assert np.allclose(probabilities.sum(axis=-1), 1.0)
         assert probabilities.min() >= 0.0
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("fixture", ["yolo_detector", "detr_detector"])
+    def test_rejects_non_finite_input(
+        self, request, fixture, value, evaluation_dataset, fast_attack_config
+    ):
+        """A non-finite pixel is an error, not a scene without objects."""
+        from repro.core import ButterflyAttack
+
+        detector = request.getfixturevalue(fixture)
+        image = evaluation_dataset[0].image
+        bad_image = image.copy()
+        bad_image[5, 7, 1] = value
+        mask = np.zeros_like(image)
+        bad_mask = mask.copy()
+        bad_mask[3, 4, 0] = value
+        clean = detector.clean_activations(image)
+        with pytest.raises(ValueError, match="finite"):
+            detector.predict(bad_image)
+        with pytest.raises(ValueError, match="finite"):
+            detector.predict_batch(bad_image[None, ...])
+        with pytest.raises(ValueError, match="finite"):
+            detector.predict_delta(bad_image, mask, clean=clean)
+        for bundle in (clean, None):
+            with pytest.raises(ValueError, match="finite"):
+                detector.predict_delta(image, bad_mask, clean=bundle)
+        with pytest.raises(ValueError, match="finite"):
+            ButterflyAttack(detector, fast_attack_config).attack(bad_image)
+
     def test_constructor_validation(self, yolo_detector, detr_detector):
         with pytest.raises(ValueError):
             SingleStageDetector(yolo_detector.prototypes, local_smoothing=0)

@@ -188,8 +188,10 @@ class TestKernelSizeCoverage:
         clean = yolo_detector.clean_activations(image)
         mask = _sparse_masks(image.shape, seed=9)[1]
         perturbed = np.clip(image + mask, 0.0, 255.0)
-        grid = yolo_detector._delta_feature_grid(
-            image, mask, mask_nonzero_bbox(mask), clean
+        grid = yolo_detector._finalize_features(
+            *yolo_detector._delta_feature_state(
+                image, mask, mask_nonzero_bbox(mask), clean.tensors
+            )
         )
         assert np.array_equal(grid, yolo_detector.backbone_features(perturbed))
 
