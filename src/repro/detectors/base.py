@@ -90,9 +90,9 @@ class Detector(abc.ABC):
     architecture: str = "abstract"
 
     #: Images per internal chunk of the vectorised batch path.  Small chunks
-    #: keep the attention/softmax temporaries inside the CPU caches, which
-    #: measures faster than one monolithic batch at these image sizes; the
-    #: results are bit-identical for every chunk size.
+    #: keep the batch's temporaries inside the CPU caches, which measured
+    #: faster than one monolithic batch at these image sizes; the results
+    #: are bit-identical for every chunk size.
     batch_chunk: int = 2
 
     #: Whether the detector implements dirty-region ("delta") inference:

@@ -22,7 +22,7 @@ from repro.detectors.base import (
     validate_image_batch,
 )
 from repro.detectors.prototypes import PrototypeBank
-from repro.nn.attention import MultiHeadSelfAttention
+from repro.nn.attention import MultiHeadSelfAttention, attend, attention_weights
 from repro.nn.features import CELL_FEATURE_DIM, GridFeatureExtractor
 from repro.nn.incremental import (
     BBox,
@@ -31,7 +31,7 @@ from repro.nn.incremental import (
     pixel_bbox_to_cell_bbox,
 )
 from repro.nn.linear import Linear
-from repro.nn.ops import grid_positional_encoding, layer_norm, softmax
+from repro.nn.ops import grid_positional_encoding, layer_norm
 
 
 def _flat_cell_indices(cell_bbox: BBox, cols: int) -> np.ndarray:
@@ -110,13 +110,13 @@ class TransformerDetector(Detector):
         ]
         self.query_proj = Linear(embed_dim, embed_dim, rng)
         self.key_proj = Linear(embed_dim, embed_dim, rng)
-        self._last_mixing_attention: np.ndarray | None = None
         self._positional_cache: dict[tuple[int, int], np.ndarray] = {}
 
     @property
-    def last_mixing_attention(self) -> np.ndarray | None:
-        """The (tokens, tokens) attention matrix of the last forward pass."""
-        return self._last_mixing_attention
+    def _mixing_temperature(self) -> float:
+        # A Python float: an np.float64 scalar would promote float32
+        # activations of the reduced-precision fidelities back to float64.
+        return float(np.sqrt(self.embed_dim) / self.attention_sharpness)
 
     def _positional(self, rows: int, cols: int) -> np.ndarray:
         key = (rows, cols)
@@ -126,12 +126,13 @@ class TransformerDetector(Detector):
             )
         return self._positional_cache[key]
 
-    def _attention_from_raw(self, raw: np.ndarray) -> np.ndarray:
-        """Attention matrix from raw cell features ``(..., rows, cols, dim)``.
+    def _mixing_query_key(self, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Mixing-attention queries and keys of raw cell features.
 
-        Works on single images and batches alike; leading axes are carried
-        through all token operations unchanged, so batched results are
-        bit-identical to the per-image computation.
+        ``raw`` is ``(..., rows, cols, dim)``; single images and batches
+        alike carry their leading axes through every token operation
+        unchanged, so batched results are bit-identical to the per-image
+        computation.  Returns ``(..., tokens, embed_dim)`` queries and keys.
         """
         rows, cols = raw.shape[-3], raw.shape[-2]
         flat = raw.reshape(raw.shape[:-3] + (rows * cols, raw.shape[-1]))
@@ -139,39 +140,30 @@ class TransformerDetector(Detector):
         tokens = layer_norm(tokens + self._positional(rows, cols), axis=-1)
         for layer in self.layers:
             tokens = layer(tokens)
-        query = self.query_proj(tokens)
-        key = self.key_proj(tokens)
-        # Same scores/softmax as scaled_dot_product_attention, minus the
-        # ``weights @ value`` product that function would also compute —
-        # the mixing stage applies the weights to the *raw* features
-        # itself, so the attended embeddings would be thrown away.
-        temperature = np.sqrt(self.embed_dim) / self.attention_sharpness
-        scores = query @ np.swapaxes(key, -1, -2) / temperature
-        return softmax(scores, axis=-1)
+        return self.query_proj(tokens), self.key_proj(tokens)
 
     def attention_matrix(self, image: np.ndarray) -> np.ndarray:
-        """Content-dependent (tokens, tokens) attention matrix for an image."""
-        image = validate_image(image)
-        return self._attention_from_raw(self.extractor(image))
+        """Content-dependent (tokens, tokens) attention matrix for an image.
 
-    def _mixing_weights_rows(
-        self,
-        tokens: np.ndarray,
-        rows: np.ndarray | None = None,
-        dtype: np.dtype = np.float64,
-    ) -> np.ndarray:
-        """Mixing-attention rows for a subset of query tokens at a dtype.
-
-        Same scores/softmax as the tail of :meth:`_attention_from_raw`
-        (python-float temperature so float32 activations stay float32);
-        ``rows=None`` yields the full (tokens, tokens) matrix.
+        The forward pass never builds this matrix; it is for heatmaps and
+        analysis.
         """
-        row_tokens = tokens if rows is None else tokens[rows]
+        image = validate_image(image)
+        query, key = self._mixing_query_key(self.extractor(image))
+        return attention_weights(query, key, self._mixing_temperature)
+
+    def _mixed_rows(
+        self,
+        row_tokens: np.ndarray,
+        tokens: np.ndarray,
+        value: np.ndarray,
+        dtype: np.dtype,
+    ) -> np.ndarray:
+        """Mixing attention of ``row_tokens`` over ``tokens``, applied to
+        ``value`` (the flat raw features), at an activation dtype."""
         query = self.query_proj.at(row_tokens, dtype)
         key = self.key_proj.at(tokens, dtype)
-        temperature = float(np.sqrt(self.embed_dim) / self.attention_sharpness)
-        scores = query @ key.T / temperature
-        return softmax(scores, axis=-1)
+        return attend(query, key, value, self._mixing_temperature)
 
     def _fidelity_state(self, clean: CleanActivations, dtype: np.dtype) -> dict:
         """Clean-scene attention state for the approximate delta path.
@@ -179,9 +171,11 @@ class TransformerDetector(Detector):
         Everything the windowed recompute splices against, derived once per
         activation dtype from the bundle's cached raw grid and memoized on
         ``clean.fidelity_state``: the flat raw features, the token
-        embeddings *after each attention layer*, the full mixing-attention
-        matrix and the mixed features.  Pure recompute cache — rebuilt
-        lazily per worker when a bundle crosses a process boundary.
+        embeddings *after each attention layer*, the full (tokens, tokens)
+        mixing-attention matrix (the stale weights that rows outside a
+        window propagate raw deltas through) and the mixed features.  Pure
+        recompute cache — rebuilt lazily per worker when a bundle crosses a
+        process boundary.
         """
         key = f"attn:{dtype.name}"
         state = clean.fidelity_state.get(key)
@@ -194,14 +188,16 @@ class TransformerDetector(Detector):
         tokens = [layer_norm(self.embedding.at(flat, dtype) + pos, axis=-1)]
         for layer in self.layers:
             tokens.append(layer.forward_rows(tokens[-1], None, dtype=dtype))
-        weights = self._mixing_weights_rows(tokens[-1], None, dtype)
+        query = self.query_proj.at(tokens[-1], dtype)
+        keys = self.key_proj.at(tokens[-1], dtype)
+        temperature = self._mixing_temperature
         state = {
             "grid": (rows, cols),
             "flat": flat,
             "pos": pos,
             "tokens": tokens,
-            "weights": weights,
-            "mixed": weights @ flat,
+            "weights": attention_weights(query, keys, temperature),
+            "mixed": attend(query, keys, flat, temperature),
         }
         clean.fidelity_state[key] = state
         return state
@@ -262,10 +258,9 @@ class TransformerDetector(Detector):
             refreshed = state["tokens"][depth + 1].copy()
             refreshed[window] = layer.forward_rows(tokens, window, dtype=dtype)
             tokens = refreshed
-        window_weights = self._mixing_weights_rows(tokens, window, dtype)
         raw_delta = flat_p[dirty] - state["flat"][dirty]
         mixed = state["mixed"] + state["weights"][:, dirty] @ raw_delta
-        mixed[window] = window_weights @ flat_p
+        mixed[window] = self._mixed_rows(tokens[window], tokens, flat_p, dtype)
         alpha = float(self.attention_mix)
         blended = (1.0 - alpha) * flat_p + alpha * mixed
         return blended.reshape(rows, cols, flat_p.shape[-1])
@@ -282,8 +277,7 @@ class TransformerDetector(Detector):
         tokens = layer_norm(self.embedding.at(flat, dtype) + pos, axis=-1)
         for layer in self.layers:
             tokens = layer.forward_rows(tokens, None, dtype=dtype)
-        weights = self._mixing_weights_rows(tokens, None, dtype)
-        mixed = weights @ flat
+        mixed = self._mixed_rows(tokens, tokens, flat, dtype)
         alpha = float(self.attention_mix)
         blended = (1.0 - alpha) * flat + alpha * mixed
         return blended.reshape(raw.shape)
@@ -304,12 +298,16 @@ class TransformerDetector(Detector):
         return predictions
 
     def _mix_features(self, raw: np.ndarray) -> np.ndarray:
-        """Blend raw cell features with their attention-mixed counterpart."""
+        """Blend raw cell features with their attention-mixed counterpart.
+
+        ``raw`` is ``(..., rows, cols, dim)``; the mixing attention runs
+        through :func:`~repro.nn.attention.attend` with the flat raw
+        features as values, so no (tokens, tokens) matrix is built.
+        """
         rows, cols = raw.shape[-3], raw.shape[-2]
         flat_raw = raw.reshape(raw.shape[:-3] + (rows * cols, raw.shape[-1]))
-        weights = self._attention_from_raw(raw)
-        self._last_mixing_attention = weights
-        mixed = weights @ flat_raw
+        query, key = self._mixing_query_key(raw)
+        mixed = attend(query, key, flat_raw, self._mixing_temperature)
         blended = (1.0 - self.attention_mix) * flat_raw + self.attention_mix * mixed
         return blended.reshape(raw.shape)
 
@@ -322,10 +320,7 @@ class TransformerDetector(Detector):
         """Batched :meth:`backbone_features`; returns (B, rows, cols, dim).
 
         One embedding/attention pass serves the whole stack; per-image
-        results are bit-identical to the single-image path.  The
-        :attr:`last_mixing_attention` buffer holds the (B, tokens, tokens)
-        stack of the most recent forward pass (the last internal chunk when
-        called through :meth:`predict_batch`).
+        results are bit-identical to the single-image path.
         """
         images = validate_image_batch(images)
         return self._mix_features(self.extractor.batch(images))
@@ -515,17 +510,12 @@ class TransformerDetector(Detector):
                 tokens, window, dtype=dtype
             )
             tokens = refreshed
-        row_tokens = tokens[batch, window]
-        query = self.query_proj.at(row_tokens, dtype)
-        key = self.key_proj.at(tokens, dtype)
-        temperature = float(np.sqrt(self.embed_dim) / self.attention_sharpness)
-        window_weights = softmax(
-            query @ np.swapaxes(key, -1, -2) / temperature, axis=-1
-        )
         raw_delta = flat_dirty - state["flat"][dirty]
         stale = np.swapaxes(state["weights"][:, dirty], 0, 1)
         mixed = state["mixed"] + stale @ raw_delta
-        mixed[batch, window] = window_weights @ flat_p
+        mixed[batch, window] = self._mixed_rows(
+            tokens[batch, window], tokens, flat_p, dtype
+        )
         alpha = float(self.attention_mix)
         return (1.0 - alpha) * flat_p + alpha * mixed
 

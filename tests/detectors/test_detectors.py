@@ -176,8 +176,15 @@ class TestConnectivity:
         assert np.allclose(weights.sum(axis=-1), 1.0)
         assert weights.min() >= 0.0
 
-    def test_transformer_records_mixing_attention(
+    def test_transformer_mixing_matches_attention_matrix(
         self, detr_detector, evaluation_dataset
     ):
-        detr_detector.backbone_features(evaluation_dataset[0].image)
-        assert detr_detector.last_mixing_attention is not None
+        # The tiled mixing kernel against the full matrix heatmaps read.
+        image = evaluation_dataset[0].image
+        raw = detr_detector.extractor(image)
+        flat = raw.reshape(-1, raw.shape[-1])
+        alpha = detr_detector.attention_mix
+        weights = detr_detector.attention_matrix(image)
+        expected = (1.0 - alpha) * flat + alpha * (weights @ flat)
+        mixed = detr_detector._mix_features(raw).reshape(flat.shape)
+        assert np.max(np.abs(mixed - expected)) <= 1e-12

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.nn import attention as attention_module
 from repro.nn.attention import MultiHeadSelfAttention
 from repro.nn.linear import Linear
 from repro.nn.ops import layer_norm, softmax
@@ -34,12 +35,13 @@ class TestForwardRowsParity:
         tokens = _tokens(0, 24)
         assert np.array_equal(attention(tokens), attention.forward_rows(tokens))
 
-    def test_does_not_touch_last_attention(self, attention):
+    def test_multi_row_tiles_close_to_one_tile(self, attention, monkeypatch):
         tokens = _tokens(1, 12)
-        attention(tokens)
-        recorded = attention.last_attention
-        attention.forward_rows(tokens, np.array([0, 3, 5]))
-        assert attention.last_attention is recorded
+        rows = np.array([0, 3, 5, 11])
+        full, subset = attention(tokens), attention.forward_rows(tokens, rows)
+        monkeypatch.setattr(attention_module, "_TILE_BYTES", 1)
+        assert np.max(np.abs(attention(tokens) - full)) <= 1e-12
+        assert np.max(np.abs(attention.forward_rows(tokens, rows) - subset)) <= 1e-12
 
     def test_row_subset_close_to_full_slice(self, attention):
         tokens = _tokens(2, 30)
