@@ -182,7 +182,7 @@ class ButterflyObjectives:
     detector:
         The attacked (black-box) detector.
     image:
-        The clean image.
+        The clean image: finite values in [0, 255], else ``ValueError``.
     epsilon:
         Buffer ``ϵ`` around the bounding boxes used by Algorithm 2.
     extra_objectives:
@@ -247,6 +247,13 @@ class ButterflyObjectives:
         self.image = np.asarray(self.image, dtype=np.float64)
         if self.image.ndim != 3 or self.image.shape[2] != 3:
             raise ValueError("image must have shape (L, W, 3)")
+        # The cached route decodes the clean scene from clip(image) while
+        # the uncached one predicts on the raw pixels, so the two would
+        # disagree on any value outside [0, 255].
+        if not np.isfinite(self.image).all():
+            raise ValueError("image must hold finite values only")
+        if (self.image < 0.0).any() or (self.image > 255.0).any():
+            raise ValueError("image values must lie in [0, 255]")
         if self.delta_store_size < 1:
             raise ValueError("delta_store_size must be at least 1")
         self._scratch: Optional[np.ndarray] = None
@@ -632,11 +639,6 @@ class ButterflyObjectives:
         ]
         if self.clean_activations is not None:
             self._record_incremental(bboxes)
-            delta = self.clean_activations.delta
-            if delta is not None:
-                # Population boundary: shared-memory mappings of entries
-                # evicted during the previous batch are safe to close now.
-                delta.release_evicted()
             # Approximate batches ignore ancestry: the delta store's stored
             # predictions are exact-only.
             predictions = self.detector.predict_delta_batch(

@@ -16,7 +16,7 @@ that execute one:
   they complete and the engine reassembles them into plan order.
 * ``PersistentPoolBackend`` (:mod:`repro.experiments.persistent`) — a pool
   of long-lived workers that survive across ``execute_plan`` calls, with
-  model-affinity scheduling and shared-memory scene/activation tensors.
+  model-affinity scheduling and shared-memory scene tensors.
   Resolved by name (``"persistent"``) to avoid an import cycle.
 
 Because every job carries its own pre-derived NSGA-II seed (or the shared
@@ -519,8 +519,8 @@ def resolve_backend(
     """Build a backend from a name (or pass an instance through).
 
     ``None`` auto-selects: serial for ``n_jobs == 1``, a process pool
-    otherwise.  ``"persistent"`` builds the long-lived shared-memory
-    worker runtime (lazily imported — it depends on this module).
+    otherwise.  ``"persistent"`` builds the long-lived worker runtime
+    (lazily imported — it depends on this module).
     """
     if isinstance(backend, ExecutionBackend):
         return backend

@@ -1,21 +1,15 @@
 """Shared-memory plumbing for the persistent worker runtime.
 
 The persistent backend (:mod:`repro.experiments.persistent`) keeps worker
-processes alive across plans and moves the two bulky payloads out of the
-pickle stream:
-
-* **Scene tensors** — a plan's job images (and transfer mask stacks) are
-  interned once per distinct array into ``multiprocessing.shared_memory``
-  segments by the parent's :class:`SharedScenePool`; each dispatched job
-  carries only a :class:`SharedArrayRef` (segment name, shape, dtype) and
-  the worker maps it back to a read-only view through its
-  :class:`SharedArrayAttachments` cache.  A transfer plan whose N jobs all
-  share one scene ships the pixels exactly once, not N times.
-* **Activation bundles** — each worker's
-  :class:`~repro.detectors.activation_cache.SharedMemoryActivationStore`
-  places cached ``CleanActivations`` tensors in segments named under a
-  per-worker prefix, so the parent can audit and reap them by name if the
-  worker dies (see :func:`reap_segments`).
+processes alive across plans and moves the bulky scene tensors out of the
+pickle stream: a plan's job images (and transfer mask stacks) are interned
+once per distinct array into ``multiprocessing.shared_memory`` segments by
+the parent's :class:`SharedScenePool`; each dispatched job carries only a
+:class:`SharedArrayRef` (segment name, shape, dtype) and the worker maps it
+back to a read-only view through its :class:`SharedArrayAttachments`
+cache.  A transfer plan whose N jobs all share one scene ships the pixels
+exactly once, not N times.  Segments are named under the runtime's prefix,
+so the parent can audit and reap them by name (see :func:`reap_segments`).
 
 CPython's :mod:`multiprocessing.resource_tracker` registers *every*
 ``SharedMemory`` attach — owner or not — and unlinks registered segments
@@ -23,8 +17,8 @@ when the attaching process exits.  A worker that merely mapped a parent's
 scene segment would therefore destroy it for everyone on shutdown;
 :func:`attach_shared_memory` attaches and immediately unregisters, making
 attachment side-effect free.  Ownership is strictly creator-side: the scene
-pool unlinks what it created, each worker store unlinks what it created,
-and the runtime reaps by prefix as the crash fallback.
+pool unlinks what it created, and the runtime reaps by prefix as the
+fallback.
 """
 
 from __future__ import annotations
@@ -80,9 +74,12 @@ def list_segments(prefix: str) -> list[str]:
 def reap_segments(prefix: str) -> list[str]:
     """Force-unlink every segment under ``prefix``; returns what was reaped.
 
-    The crash path: a worker killed mid-job cannot run its store's
-    ``shutdown()``, so its segments (all named under the worker's prefix)
-    would leak.  The runtime reaps them by name before respawning.
+    The fallback for segments whose owner never cleaned up.  Segments live
+    in tmpfs, so they outlive their creator: a scene pool whose plan failed
+    while its scenes were being interned leaves them behind, and so does a
+    parent killed mid-plan.  The runtime reaps its own prefix on
+    ``close()``; a process resuming after a killed parent can reap the
+    dead runtime's prefix.
     """
     reaped = []
     for entry in list_segments(prefix):

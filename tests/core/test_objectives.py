@@ -213,3 +213,28 @@ class TestButterflyObjectivesEvaluator:
     def test_invalid_image_rejected(self, yolo_detector):
         with pytest.raises(ValueError):
             ButterflyObjectives(detector=yolo_detector, image=np.zeros((10, 10)))
+
+    @pytest.mark.parametrize("use_activation_cache", [True, False])
+    @pytest.mark.parametrize("value", [np.nan, -1.0, 256.0])
+    @pytest.mark.parametrize("detector_name", ["yolo_detector", "detr_detector"])
+    def test_out_of_range_scene_rejected(
+        self, request, small_dataset, detector_name, value, use_activation_cache
+    ):
+        # The cached route decodes clip(image) and the uncached one the raw
+        # pixels, so a scene outside [0, 255] would split the two paths.
+        detector = request.getfixturevalue(detector_name)
+        image = small_dataset[0].image.astype(np.float64)
+        image[3, 5, 1] = value
+        with pytest.raises(ValueError):
+            ButterflyObjectives(
+                detector=detector,
+                image=image,
+                use_activation_cache=use_activation_cache,
+            )
+
+    @pytest.mark.parametrize("value", [0.0, 255.0])
+    def test_range_endpoints_accepted(self, yolo_detector, small_dataset, value):
+        image = small_dataset[0].image.astype(np.float64)
+        image[3, 5, 1] = value
+        evaluator = ButterflyObjectives(detector=yolo_detector, image=image)
+        assert evaluator.image[3, 5, 1] == value

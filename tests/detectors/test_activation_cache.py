@@ -12,10 +12,8 @@ from repro.detectors.activation_cache import (
     ActivationCacheStore,
     CacheStats,
     CleanActivations,
-    SharedMemoryActivationStore,
     image_digest,
 )
-from repro.experiments.shm import list_segments
 
 
 def _scene(seed, shape=(64, 208, 3)):
@@ -204,68 +202,36 @@ class TestStatsLifecycle:
         assert store.snapshot() == CacheStats(hits=1, misses=0, evictions=0)
 
 
-class TestSharedMemoryActivationStore:
-    """The shm-backed store: same caching semantics, audited segments."""
+class TestReadOnlyBundles:
+    """Cached bundles are read-only: admission clears the writeable flag in
+    place, so a stray write fails loudly instead of corrupting later hits."""
 
-    def test_bundles_served_from_shared_segments(self, yolo_detector):
-        store = SharedMemoryActivationStore(max_entries=2, segment_prefix="tshma")
-        try:
-            image = _scene(20)
-            cached = store.get(yolo_detector, image)
-            assert isinstance(cached, CleanActivations)
-            # Bundle content matches what a plain store would serve...
-            reference = yolo_detector.clean_activations(image)
-            assert np.array_equal(cached.clean_image, reference.clean_image)
-            for name, tensor in reference.tensors.items():
-                assert np.array_equal(cached.tensors[name], tensor)
-            # ...but the arrays live in named, auditable segments.
-            assert store.active_segments == 1 + len(reference.tensors)
-            assert list_segments("tshma") != []
-            assert not cached.clean_image.flags.writeable
-            assert store.get(yolo_detector, image) is cached
-            assert store.hits == 1
-        finally:
-            store.shutdown()
+    @pytest.mark.parametrize("detector_name", ["yolo_detector", "detr_detector"])
+    def test_fetched_bundle_is_read_only(self, request, detector_name):
+        detector = request.getfixturevalue(detector_name)
+        store = ActivationCacheStore(max_entries=2)
+        image = _scene(20)
+        cached = store.get(detector, image)
+        assert not cached.clean_image.flags.writeable
+        assert cached.tensors
+        for tensor in cached.tensors.values():
+            assert not tensor.flags.writeable
+        with pytest.raises(ValueError):
+            cached.clean_image[0, 0, 0] = 1.0
+        # Freezing changes no value: the bundle still matches a fresh build.
+        reference = detector.clean_activations(image)
+        assert np.array_equal(cached.clean_image, reference.clean_image)
+        for name, tensor in reference.tensors.items():
+            assert np.array_equal(cached.tensors[name], tensor)
+        assert store.get(detector, image) is cached
 
-    def test_drop_unlinks_but_defers_close_until_release(self, yolo_detector):
-        """Evicted/invalidated segments unlink at once, unmap at the job
-        boundary — a view fetched earlier in the job stays readable."""
-        store = SharedMemoryActivationStore(max_entries=1, segment_prefix="tshmb")
-        try:
-            first = store.get(yolo_detector, _scene(21))
-            held = first.clean_image
-            store.get(yolo_detector, _scene(22))  # cap=1: evicts the first
-            assert store.evictions == 1
-            remaining = list_segments("tshmb")
-            assert len(remaining) == store.active_segments  # evictee unlinked
-            assert float(held.sum()) >= 0.0  # mapping still readable
-            released = store.release_retired()
-            assert released > 0
-            assert store.release_retired() == 0  # idempotent
-        finally:
-            store.shutdown()
-
-    def test_invalidate_unlinks_segments(self, yolo_detector, detr_detector):
-        store = SharedMemoryActivationStore(max_entries=4, segment_prefix="tshmc")
-        try:
-            image = _scene(23)
-            store.get(yolo_detector, image)
-            store.get(detr_detector, image)
-            before = len(list_segments("tshmc"))
-            assert store.invalidate(yolo_detector) == 1
-            assert store.invalidations == 1
-            after = len(list_segments("tshmc"))
-            assert after < before
-            assert after == store.active_segments
-        finally:
-            store.shutdown()
-
-    def test_shutdown_leaves_no_segments(self, yolo_detector):
-        store = SharedMemoryActivationStore(max_entries=4, segment_prefix="tshmd")
-        store.get(yolo_detector, _scene(24))
-        store.get(yolo_detector, _scene(25))
-        assert list_segments("tshmd") != []
-        store.shutdown()
-        assert list_segments("tshmd") == []
-        assert store.active_segments == 0
-        store.shutdown()  # idempotent
+    def test_put_freezes_in_place_without_copying(self, yolo_detector):
+        store = ActivationCacheStore(max_entries=2)
+        image = _scene(21)
+        bundle = yolo_detector.clean_activations(image)
+        arrays = [bundle.clean_image, *bundle.tensors.values()]
+        admitted = store.put(yolo_detector, image, bundle)
+        assert admitted is bundle
+        assert admitted.clean_image is arrays[0]
+        for array in arrays:
+            assert not array.flags.writeable
