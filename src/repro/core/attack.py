@@ -9,21 +9,20 @@ with paper-oriented objective values and error-type transitions.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.core.config import AttackConfig
-from repro.core.masks import FilterMask, apply_mask
+from repro.core.masks import FilterMask
 from repro.core.objectives import ButterflyObjectives
 from repro.core.results import AttackResult, ParetoSolution
 from repro.detection.errors import classify_transitions
 from repro.detection.prediction import Prediction
 from repro.detectors.activation_cache import ActivationCacheStore
 from repro.detectors.base import Detector
-from repro.nsga.algorithm import NSGAII, NSGAConfig, NSGAResult
-from repro.nsga.mutation import IntensityAnnealing
+from repro.nn.incremental import EMPTY_BBOX
+from repro.nsga.algorithm import NSGAII, NSGAResult
 
 
 class ButterflyAttack:
@@ -76,100 +75,6 @@ class ButterflyAttack:
             delta_store_size=self.config.delta_store_size,
         )
 
-    def _nsga_config(self) -> "NSGAConfig":
-        """The NSGA-II configuration with attack-level options applied.
-
-        ``sparse_init_fraction > 0`` rewrites the initialisation config so
-        part of the initial population is drawn as patch-confined sparse
-        masks; ``fast_search``/``rescore_every`` turn on the two-phase
-        bounded-error search; ``anneal_final_window`` installs the
-        mutation-intensity schedule.  At the defaults the configuration
-        object is returned unchanged, so default attacks are bit-exact
-        with the original path.
-        """
-        nsga = self.config.nsga
-        if self.config.sparse_init_fraction > 0.0:
-            nsga = replace(
-                nsga,
-                initialization=replace(
-                    nsga.initialization,
-                    sparse_fraction=self.config.sparse_init_fraction,
-                ),
-            )
-        if self.config.fast_search:
-            nsga = replace(
-                nsga,
-                fast_search=True,
-                search_fidelity=self.config.search_fidelity,
-                rescore_every=self.config.rescore_every,
-            )
-        if self.config.anneal_final_window is not None:
-            nsga = replace(
-                nsga,
-                annealing=IntensityAnnealing(
-                    final_window_fraction=self.config.anneal_final_window,
-                    shape=self.config.anneal_shape,
-                ),
-            )
-        return nsga
-
-    def _constraint(self, mask: np.ndarray) -> np.ndarray:
-        projected = self.config.region.project(mask)
-        if self.config.round_masks:
-            projected = np.round(projected)
-        return np.clip(projected, -255.0, 255.0)
-
-    def _package(
-        self,
-        image: np.ndarray,
-        objectives: ButterflyObjectives,
-        nsga_result: NSGAResult,
-    ) -> AttackResult:
-        solutions: list[ParetoSolution] = []
-        for individual in nsga_result.population:
-            intensity, degradation, negated_distance = individual.objectives[:3]
-            extras = {
-                f"extra_{i}": float(value)
-                for i, value in enumerate(individual.objectives[3:])
-            }
-            solution = ParetoSolution(
-                mask=FilterMask(individual.genome),
-                intensity=float(intensity),
-                degradation=float(degradation),
-                distance=float(-negated_distance),
-                rank=int(individual.rank if individual.rank is not None else 0),
-                extras=extras,
-            )
-            solutions.append(solution)
-
-        result = AttackResult(
-            image=image,
-            clean_prediction=objectives.clean_prediction,
-            solutions=solutions,
-            detector_name=getattr(self.detector, "name", repr(self.detector)),
-            num_evaluations=nsga_result.num_evaluations,
-            cache_hits=nsga_result.cache_hits,
-            history=nsga_result.history,
-            incremental=nsga_result.incremental,
-        )
-
-        # Fill in perturbed predictions and error transitions for the front
-        # only (re-running the detector for all 101+ solutions would double
-        # the attack cost for no benefit); one batched pass covers the front.
-        front = result.pareto_front
-        if front:
-            perturbed_images = np.stack(
-                [apply_mask(image, solution.mask.values) for solution in front], axis=0
-            )
-            for solution, perturbed in zip(
-                front, self.detector.predict_batch(perturbed_images)
-            ):
-                solution.perturbed_prediction = perturbed
-                solution.transitions = classify_transitions(
-                    objectives.clean_prediction, perturbed
-                )
-        return result
-
     def attack(
         self,
         image: np.ndarray,
@@ -181,9 +86,89 @@ class ButterflyAttack:
         optimizer = NSGAII(
             objective_function=objectives,
             genome_shape=image.shape,
-            config=self._nsga_config(),
-            constraint=self._constraint,
+            config=self.config.search_config(),
+            constraint=self.config.constrain,
             callback=callback,
         )
         nsga_result = optimizer.run()
-        return self._package(image, objectives, nsga_result)
+        return package_result(
+            nsga_result,
+            objectives,
+            getattr(self.detector, "name", repr(self.detector)),
+        )
+
+
+def package_result(
+    nsga_result: NSGAResult,
+    evaluator: ButterflyObjectives,
+    detector_name: str,
+    extra_names: Optional[Sequence[str]] = None,
+) -> AttackResult:
+    """Package an NSGA-II run as an :class:`AttackResult`.
+
+    Every individual of the final population becomes a
+    :class:`ParetoSolution` with the paper's objective orientation;
+    objectives past the third land in ``extras`` under ``extra_names``
+    (``extra_0``, ``extra_1``, ... by default).  The result reports
+    ``evaluator``'s image and clean prediction, and front solutions also
+    get their perturbed prediction and error transitions (the rest of the
+    population would double the attack cost for no benefit).
+
+    Front predictions come from ``evaluator.predict_population``, the
+    route the search itself took.  Each member names its own fingerprint
+    as its ancestor with an empty diff bound (the fingerprint is the
+    genome's content digest, so the entry stored under it holds this very
+    mask), so a member the delta store kept is answered from its stored
+    exact prediction; the others go
+    through the clean-bundle splice or the dense batch.  Every route is
+    bit-identical to ``detector.predict`` on the perturbed image.
+    """
+    solutions: list[ParetoSolution] = []
+    for individual in nsga_result.population:
+        intensity, degradation, negated_distance = individual.objectives[:3]
+        extras = individual.objectives[3:]
+        names = extra_names or [f"extra_{i}" for i in range(len(extras))]
+        solutions.append(
+            ParetoSolution(
+                mask=FilterMask(individual.genome),
+                intensity=float(intensity),
+                degradation=float(degradation),
+                distance=float(-negated_distance),
+                rank=int(individual.rank if individual.rank is not None else 0),
+                extras={name: float(value) for name, value in zip(names, extras)},
+            )
+        )
+    result = AttackResult(
+        image=evaluator.image,
+        clean_prediction=evaluator.clean_prediction,
+        solutions=solutions,
+        detector_name=detector_name,
+        num_evaluations=nsga_result.num_evaluations,
+        cache_hits=nsga_result.cache_hits,
+        history=nsga_result.history,
+        incremental=nsga_result.incremental,
+    )
+    front = [
+        (solution, individual)
+        for solution, individual in zip(solutions, nsga_result.population)
+        if solution.rank == 1
+    ]
+    if front:
+        predictions, _ = evaluator.predict_population(
+            np.stack([solution.mask.values for solution, _ in front], axis=0),
+            [individual.metadata.get("dirty_bound") for _, individual in front],
+            [
+                {
+                    "fingerprint": None,
+                    "ancestor": individual.metadata.get("fingerprint"),
+                    "diff_bound": EMPTY_BBOX,
+                }
+                for _, individual in front
+            ],
+        )
+        for (solution, _), perturbed in zip(front, predictions):
+            solution.perturbed_prediction = perturbed
+            solution.transitions = classify_transitions(
+                evaluator.clean_prediction, perturbed
+            )
+    return result

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
+import numpy as np
+
+from repro.core.masks import MAX_PERTURBATION
 from repro.core.regions import FullImageRegion, Region
 from repro.nsga.algorithm import NSGAConfig
+from repro.nsga.mutation import IntensityAnnealing, MutationConfig
 
 
 def default_use_activation_cache() -> bool:
@@ -129,12 +133,59 @@ class AttackConfig:
 
         resolve_fidelity(self.search_fidelity)
         if self.anneal_final_window is not None:
-            from repro.nsga.mutation import IntensityAnnealing
-
             IntensityAnnealing(
                 final_window_fraction=self.anneal_final_window,
                 shape=self.anneal_shape,
             )
+
+    def search_config(self) -> NSGAConfig:
+        """The NSGA-II configuration with attack-level options applied.
+
+        ``sparse_init_fraction > 0`` rewrites the initialisation config so
+        part of the initial population is drawn as patch-confined sparse
+        masks; ``fast_search``/``rescore_every`` turn on the two-phase
+        bounded-error search; ``anneal_final_window`` installs the
+        mutation-intensity schedule.  At the defaults :attr:`nsga` itself
+        is returned, so default attacks are bit-exact with the original
+        path.  Every attack orchestrator runs NSGA-II with this config.
+        """
+        nsga = self.nsga
+        if self.sparse_init_fraction > 0.0:
+            nsga = replace(
+                nsga,
+                initialization=replace(
+                    nsga.initialization,
+                    sparse_fraction=self.sparse_init_fraction,
+                ),
+            )
+        if self.fast_search:
+            nsga = replace(
+                nsga,
+                fast_search=True,
+                search_fidelity=self.search_fidelity,
+                rescore_every=self.rescore_every,
+            )
+        if self.anneal_final_window is not None:
+            nsga = replace(
+                nsga,
+                annealing=IntensityAnnealing(
+                    final_window_fraction=self.anneal_final_window,
+                    shape=self.anneal_shape,
+                ),
+            )
+        return nsga
+
+    def constrain(self, mask: np.ndarray) -> np.ndarray:
+        """The NSGA-II genome constraint: project, round, clip.
+
+        Zeroes ``mask`` outside :attr:`region` (a new array), rounds it to
+        integers when :attr:`round_masks` is set and clips it to
+        ``[-255, 255]``, the last two in place on the projected copy.
+        """
+        projected = self.region.project(mask)
+        if self.round_masks:
+            np.round(projected, out=projected)
+        return np.clip(projected, -MAX_PERTURBATION, MAX_PERTURBATION, out=projected)
 
     @staticmethod
     def paper_defaults(region: Region | None = None, seed: int = 0) -> "AttackConfig":
@@ -156,8 +207,6 @@ class AttackConfig:
         The search dynamics are identical to the paper's; only the budget
         (population and generations) is smaller.
         """
-        from repro.nsga.mutation import MutationConfig
-
         return AttackConfig(
             nsga=NSGAConfig(
                 num_iterations=num_iterations,

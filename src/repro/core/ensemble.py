@@ -23,11 +23,11 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.attack import package_result
 from repro.core.config import AttackConfig, default_use_activation_cache
-from repro.core.masks import FilterMask, apply_mask
+from repro.core.masks import apply_mask
 from repro.core.objectives import ButterflyObjectives
-from repro.core.results import AttackResult, ParetoSolution
-from repro.detection.errors import classify_transitions
+from repro.core.results import AttackResult
 from repro.detectors.activation_cache import ActivationCacheStore
 from repro.detectors.base import Detector
 from repro.detectors.ensemble import DetectorEnsemble
@@ -228,14 +228,13 @@ class EnsembleAttack:
         self.config = config if config is not None else AttackConfig()
         self.activation_store = activation_store
 
-    def _constraint(self, mask: np.ndarray) -> np.ndarray:
-        projected = self.config.region.project(mask)
-        if self.config.round_masks:
-            projected = np.round(projected)
-        return np.clip(projected, -255.0, 255.0)
-
     def attack(self, image: np.ndarray) -> AttackResult:
-        """Run NSGA-II against the whole ensemble and package the result."""
+        """Run NSGA-II against the whole ensemble and package the result.
+
+        The result's clean prediction and the front's perturbed
+        predictions are the first member's; the per-member analysis can be
+        recomputed from the masks if needed.
+        """
         image = np.asarray(image, dtype=np.float64)
         objectives = EnsembleObjectives(
             ensemble=self.ensemble,
@@ -247,46 +246,9 @@ class EnsembleAttack:
         optimizer = NSGAII(
             objective_function=objectives,
             genome_shape=image.shape,
-            config=self.config.nsga,
-            constraint=self._constraint,
+            config=self.config.search_config(),
+            constraint=self.config.constrain,
         )
-        nsga_result = optimizer.run()
-
-        solutions: list[ParetoSolution] = []
-        for individual in nsga_result.population:
-            intensity, degradation, negated_distance = individual.objectives[:3]
-            solutions.append(
-                ParetoSolution(
-                    mask=FilterMask(individual.genome),
-                    intensity=float(intensity),
-                    degradation=float(degradation),
-                    distance=float(-negated_distance),
-                    rank=int(individual.rank if individual.rank is not None else 0),
-                )
-            )
-
-        # The reference prediction of the result is the first member's; the
-        # per-member analysis can be recomputed from the masks if needed.
-        reference = objectives.members[0]
-        result = AttackResult(
-            image=image,
-            clean_prediction=reference.clean_prediction,
-            solutions=solutions,
-            detector_name=self.ensemble.name,
-            num_evaluations=nsga_result.num_evaluations,
-            cache_hits=nsga_result.cache_hits,
-            history=nsga_result.history,
+        return package_result(
+            optimizer.run(), objectives.members[0], self.ensemble.name
         )
-        front = result.pareto_front
-        if front:
-            perturbed_images = np.stack(
-                [apply_mask(image, solution.mask.values) for solution in front], axis=0
-            )
-            for solution, perturbed in zip(
-                front, reference.detector.predict_batch(perturbed_images)
-            ):
-                solution.perturbed_prediction = perturbed
-                solution.transitions = classify_transitions(
-                    reference.clean_prediction, perturbed
-                )
-        return result

@@ -10,30 +10,54 @@ allowed region.
 from __future__ import annotations
 
 import abc
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 
 class Region(abc.ABC):
-    """Abstract perturbable region of an image."""
+    """Abstract perturbable region of an image.
+
+    Regions are value objects: the built-in ones are frozen dataclasses,
+    so equal regions share one cached allowed-pixel mask per image shape.
+    """
 
     @abc.abstractmethod
     def pixel_mask(self, image_length: int, image_width: int) -> np.ndarray:
         """Boolean array (L, W): True where perturbation is allowed."""
 
+    def allowed_mask(self, image_length: int, image_width: int) -> np.ndarray:
+        """:meth:`pixel_mask`, built once per shape and returned read-only."""
+        try:
+            return _cached_allowed_mask(self, image_length, image_width)
+        except TypeError:  # an unhashable custom region: build it uncached
+            return _read_only_mask(self, image_length, image_width)
+
     def project(self, mask: np.ndarray) -> np.ndarray:
-        """Zero the perturbation outside the allowed region."""
+        """Zero the perturbation outside the allowed region.
+
+        Returns a new float64 array; pixels outside the region become
+        ``+0.0`` and every other value, signed zeros included, is copied
+        unchanged.  The first two axes of ``mask`` are the image plane.
+        """
         mask = np.asarray(mask, dtype=np.float64)
-        allowed = self.pixel_mask(mask.shape[0], mask.shape[1])
-        projected = mask.copy()
-        projected[~allowed] = 0.0
-        return projected
+        allowed = self.allowed_mask(mask.shape[0], mask.shape[1])
+        allowed = allowed.reshape(allowed.shape + (1,) * (mask.ndim - 2))
+        return np.where(allowed, mask, 0.0)
 
     def allowed_fraction(self, image_length: int, image_width: int) -> float:
         """Fraction of pixels where perturbation is allowed."""
-        allowed = self.pixel_mask(image_length, image_width)
-        return float(allowed.mean())
+        return float(self.allowed_mask(image_length, image_width).mean())
+
+
+def _read_only_mask(region: Region, image_length: int, image_width: int) -> np.ndarray:
+    allowed = np.array(region.pixel_mask(image_length, image_width), dtype=bool)
+    allowed.flags.writeable = False
+    return allowed
+
+
+_cached_allowed_mask = functools.lru_cache(maxsize=16)(_read_only_mask)
 
 
 @dataclass(frozen=True)

@@ -34,13 +34,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.core.config import AttackConfig, default_use_activation_cache, default_use_delta_reuse
-from repro.core.attack import ButterflyAttack
-from repro.core.masks import FilterMask, apply_mask
+from repro.core.attack import ButterflyAttack, package_result
 from repro.core.objectives import ButterflyObjectives, objective_degradation
-from repro.core.results import AttackResult, ParetoSolution
+from repro.core.results import AttackResult
 from repro.data.sequences import SceneSequence
 from repro.detection.boxes import iou_matrix
-from repro.detection.errors import classify_transitions
 from repro.detection.prediction import Prediction
 from repro.detectors.activation_cache import (
     DEFAULT_DELTA_STORE_ENTRIES,
@@ -50,7 +48,7 @@ from repro.detectors.activation_cache import (
 )
 from repro.detectors.base import Detector
 from repro.nn.incremental import BBox
-from repro.nsga.algorithm import NSGAII, NSGAResult
+from repro.nsga.algorithm import NSGAII
 
 
 @dataclass
@@ -117,16 +115,14 @@ class TemporalAttack:
         self.detector = detector
         self.config = config if config is not None else AttackConfig()
 
-    def _constraint(self, mask: np.ndarray) -> np.ndarray:
-        projected = self.config.region.project(mask)
-        if self.config.round_masks:
-            projected = np.round(projected)
-        return np.clip(projected, -255.0, 255.0)
-
     def attack(
         self, sequence: SceneSequence | Sequence[np.ndarray]
     ) -> AttackResult:
-        """Run NSGA-II over a frame sequence; one shared mask for all frames."""
+        """Run NSGA-II over a frame sequence; one shared mask for all frames.
+
+        The result reports the first frame: its image, its clean
+        prediction and the front's perturbed predictions on it.
+        """
         frames = list(sequence.images if isinstance(sequence, SceneSequence) else sequence)
         objectives = TemporalObjectives(
             detector=self.detector, frames=frames, epsilon=self.config.epsilon
@@ -134,32 +130,14 @@ class TemporalAttack:
         optimizer = NSGAII(
             objective_function=objectives,
             genome_shape=frames[0].shape,
-            config=self.config.nsga,
-            constraint=self._constraint,
+            config=self.config.search_config(),
+            constraint=self.config.constrain,
         )
-        nsga_result = optimizer.run()
-
-        solutions: list[ParetoSolution] = []
-        for individual in nsga_result.population:
-            intensity, degradation, negated_distance = individual.objectives[:3]
-            solutions.append(
-                ParetoSolution(
-                    mask=FilterMask(individual.genome),
-                    intensity=float(intensity),
-                    degradation=float(degradation),
-                    distance=float(-negated_distance),
-                    rank=int(individual.rank if individual.rank is not None else 0),
-                )
-            )
-        result = AttackResult(
-            image=frames[0],
-            clean_prediction=objectives.per_frame[0].clean_prediction,
-            solutions=solutions,
-            detector_name=f"{getattr(self.detector, 'name', 'detector')}@{len(frames)}frames",
-            num_evaluations=nsga_result.num_evaluations,
-            history=nsga_result.history,
+        return package_result(
+            optimizer.run(),
+            objectives.per_frame[0],
+            f"{getattr(self.detector, 'name', 'detector')}@{len(frames)}frames",
         )
-        return result
 
 
 @dataclass
@@ -426,11 +404,11 @@ class SequenceObjectives:
 class SequenceAttack(ButterflyAttack):
     """Butterfly-effect attack on the streaming-sequence workload.
 
-    Reuses :class:`~repro.core.attack.ButterflyAttack`'s constraint and
-    NSGA-II configuration (sparse initialisation, annealing) but evaluates
-    through :class:`SequenceObjectives`: temporally derived clean bundles,
+    Runs the same constraint and NSGA-II configuration (sparse
+    initialisation, annealing) as every attack but evaluates through
+    :class:`SequenceObjectives`: temporally derived clean bundles,
     averaged per-frame objectives and the track-survival term.  The
-    packaged result reports each front solution's ``track_survival`` in
+    packaged result reports each solution's ``track_survival`` in
     :attr:`~repro.core.results.ParetoSolution.extras` and the frame-cache
     counters under ``result.incremental["frame_cache"]``.
     """
@@ -479,66 +457,21 @@ class SequenceAttack(ButterflyAttack):
         optimizer = NSGAII(
             objective_function=objectives,
             genome_shape=objectives.per_frame[0].image.shape,
-            config=self._nsga_config(),
-            constraint=self._constraint,
+            config=self.config.search_config(),
+            constraint=self.config.constrain,
             callback=callback,
         )
         nsga_result = optimizer.run()
-        return self._package_sequence(objectives, nsga_result)
-
-    def _package_sequence(
-        self, objectives: SequenceObjectives, nsga_result: "NSGAResult"
-    ) -> AttackResult:
-        solutions: list[ParetoSolution] = []
-        for individual in nsga_result.population:
-            intensity, degradation, negated_distance, survival = (
-                individual.objectives[:4]
-            )
-            solutions.append(
-                ParetoSolution(
-                    mask=FilterMask(individual.genome),
-                    intensity=float(intensity),
-                    degradation=float(degradation),
-                    distance=float(-negated_distance),
-                    rank=int(individual.rank if individual.rank is not None else 0),
-                    extras={"track_survival": float(survival)},
-                )
-            )
-
-        first_frame = objectives.per_frame[0]
-        incremental = dict(nsga_result.incremental or {})
-        frame_stats = objectives.frame_cache_snapshot()
-        incremental["frame_cache"] = frame_stats.as_dict()
-        result = AttackResult(
-            image=first_frame.image,
-            clean_prediction=first_frame.clean_prediction,
-            solutions=solutions,
-            detector_name=(
-                f"{getattr(self.detector, 'name', 'detector')}"
-                f"@{objectives.num_frames}frames"
-            ),
-            num_evaluations=nsga_result.num_evaluations,
-            cache_hits=nsga_result.cache_hits,
-            history=nsga_result.history,
-            incremental=incremental,
+        # The result reports the first frame, mirroring the single-scene
+        # packaging, plus the frame-cache counters.
+        result = package_result(
+            nsga_result,
+            objectives.per_frame[0],
+            f"{getattr(self.detector, 'name', 'detector')}@{objectives.num_frames}frames",
+            extra_names=("track_survival",),
         )
-
-        # First-frame perturbed predictions and error transitions for the
-        # front only, mirroring the single-scene packaging.
-        front = result.pareto_front
-        if front:
-            perturbed_images = np.stack(
-                [
-                    apply_mask(first_frame.image, solution.mask.values)
-                    for solution in front
-                ],
-                axis=0,
-            )
-            for solution, perturbed in zip(
-                front, self.detector.predict_batch(perturbed_images)
-            ):
-                solution.perturbed_prediction = perturbed
-                solution.transitions = classify_transitions(
-                    first_frame.clean_prediction, perturbed
-                )
+        result.incremental = {
+            **(nsga_result.incremental or {}),
+            "frame_cache": objectives.frame_cache_snapshot().as_dict(),
+        }
         return result

@@ -41,13 +41,13 @@ in-place write fails loudly instead of corrupting every later lookup.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.detection.prediction import Prediction
+from repro.digest import content_digest
 from repro.nn.incremental import (
     BBox,
     EMPTY_BBOX,
@@ -57,15 +57,6 @@ from repro.nn.incremental import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.detectors.base import Detector
-
-
-def image_digest(image: np.ndarray) -> bytes:
-    """Stable content key of an image: dtype, shape and raw bytes."""
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(str(image.dtype).encode())
-    digest.update(str(image.shape).encode())
-    digest.update(np.ascontiguousarray(image).tobytes())
-    return digest.digest()
 
 
 @dataclass(frozen=True)
@@ -441,7 +432,7 @@ class ActivationCacheStore:
         inference (its ``clean_activations`` returns ``None``); nothing is
         stored in that case.
         """
-        key = (id(detector), image_digest(image))
+        key = (id(detector), content_digest(image))
         entry = self._entries.get(key)
         if entry is not None:
             self.hits += 1
@@ -474,7 +465,7 @@ class ActivationCacheStore:
         lookup; the temporal traffic is counted by the sequence cache's
         ``frame_hits``/``frame_misses``.
         """
-        key = (id(detector), image_digest(image))
+        key = (id(detector), content_digest(image))
         entry = self._entries.get(key)
         if entry is not None:
             self._entries[key] = self._entries.pop(key)
@@ -687,7 +678,7 @@ class SequenceActivationCache:
         ``detector.clean_activations(image)`` either way.  Returns ``None``
         for detectors without incremental support (nothing is cached).
         """
-        key = image_digest(image)
+        key = content_digest(image)
         cached = self._frames.get(key)
         if cached is not None:
             self.frame_hits += 1

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.detectors.activation_cache import image_digest
+from repro.digest import content_digest
 
 #: Arrays smaller than this are cheaper to pickle than to segment (the
 #: attach + mmap round-trip has fixed cost); they stay in the job payload.
@@ -142,7 +142,7 @@ class SharedScenePool:
             return identity[1]
         original = array
         array = np.ascontiguousarray(array)
-        digest = image_digest(array)
+        digest = content_digest(array)
         cached = self._by_digest.get(digest)
         if cached is not None:
             self._by_id[id(original)] = (original, cached[1])

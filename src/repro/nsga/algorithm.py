@@ -39,13 +39,13 @@ because they never change objective values.
 
 from __future__ import annotations
 
-import hashlib
 import inspect
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from repro.digest import content_digest
 from repro.nn.incremental import bbox_union
 from repro.nsga.crossover import one_point_crossover_lineage
 from repro.nsga.crowding import crowding_distance
@@ -272,15 +272,6 @@ class NSGAII:
         return self.constraint(genome)
 
     @staticmethod
-    def _genome_key(genome: np.ndarray) -> bytes:
-        """Stable cache key: a digest of the genome's dtype, shape and bytes."""
-        digest = hashlib.blake2b(digest_size=16)
-        digest.update(str(genome.dtype).encode())
-        digest.update(str(genome.shape).encode())
-        digest.update(np.ascontiguousarray(genome).tobytes())
-        return digest.digest()
-
-    @staticmethod
     def _ancestry_record(individual: Individual, key: Optional[bytes]) -> dict:
         """Per-genome ancestry record for delta-reuse batch evaluators.
 
@@ -320,7 +311,7 @@ class NSGAII:
             # activations and under which children look their parents up.
             batch_positions: dict[bytes, int] = {}
             for individual in pending:
-                key = self._genome_key(individual.genome)
+                key = content_digest(individual.genome)
                 individual.metadata["fingerprint"] = key
                 if not self.config.evaluation_cache:
                     unique.append(individual)

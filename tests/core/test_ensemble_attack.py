@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core import ensemble
 from repro.core.config import AttackConfig
 from repro.core.ensemble import EnsembleAttack, EnsembleObjectives
 from repro.core.objectives import ButterflyObjectives
 from repro.core.regions import HalfImageRegion
 from repro.detectors.ensemble import DetectorEnsemble
-from repro.nsga.algorithm import NSGAConfig
+from repro.nsga.algorithm import NSGAII, NSGAConfig
 
 
 @pytest.fixture(scope="module")
@@ -86,3 +87,48 @@ class TestEnsembleAttack:
         for solution in result.solutions:
             assert np.allclose(solution.mask.values[:, :middle, :], 0.0)
         assert "ensemble" in result.detector_name
+
+
+class TestEnsembleAttackOptions:
+    """Attack-level options reach NSGA-II through the shared config."""
+
+    @pytest.fixture()
+    def nsga_configs(self, monkeypatch):
+        seen = []
+
+        class RecordingNSGAII(NSGAII):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                seen.append(self.config)
+
+        monkeypatch.setattr(ensemble, "NSGAII", RecordingNSGAII)
+        return seen
+
+    def test_default_config_passes_nsga_unchanged(
+        self, yolo_detector, detr_detector, small_dataset, nsga_configs
+    ):
+        config = AttackConfig(nsga=NSGAConfig(num_iterations=1, population_size=4, seed=0))
+        EnsembleAttack([yolo_detector, detr_detector], config).attack(small_dataset[0].image)
+        assert len(nsga_configs) == 1
+        assert nsga_configs[0] is config.nsga
+
+    def test_sparse_init_and_annealing_applied(
+        self, yolo_detector, detr_detector, small_dataset, nsga_configs
+    ):
+        config = AttackConfig(
+            nsga=NSGAConfig(num_iterations=1, population_size=4, seed=0),
+            sparse_init_fraction=0.5,
+            anneal_final_window=0.002,
+        )
+        EnsembleAttack([yolo_detector, detr_detector], config).attack(small_dataset[0].image)
+        assert nsga_configs[0].initialization.sparse_fraction == 0.5
+        assert nsga_configs[0].annealing.final_window_fraction == 0.002
+
+    def test_fast_search_rejected(self, yolo_detector, detr_detector, small_dataset):
+        config = AttackConfig(
+            nsga=NSGAConfig(num_iterations=1, population_size=4, seed=0),
+            fast_search=True,
+        )
+        attack = EnsembleAttack([yolo_detector, detr_detector], config)
+        with pytest.raises(ValueError, match="set_fidelity"):
+            attack.attack(small_dataset[0].image)

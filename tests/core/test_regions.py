@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.config import AttackConfig
 from repro.core.regions import (
     FullImageRegion,
     HalfImageRegion,
@@ -95,3 +96,68 @@ class TestRegionFromName:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             region_from_name("bottom")
+
+
+def _copy_and_zero(region, mask):
+    """The original projection: copy the mask, zero the disallowed pixels."""
+    mask = np.asarray(mask, dtype=np.float64)
+    projected = mask.copy()
+    projected[~region.pixel_mask(mask.shape[0], mask.shape[1])] = 0.0
+    return projected
+
+
+def _signed_mask(shape, seed):
+    """Values with fractions, signed zeros and out-of-range entries."""
+    rng = np.random.default_rng(seed)
+    mask = rng.normal(0.0, 200.0, size=shape)
+    mask.flat[::7] = -0.0
+    mask.flat[1::11] = -0.3  # rounds to -0.0
+    mask.flat[2::13] = 0.0
+    return mask
+
+
+REGIONS = [
+    FullImageRegion(),
+    HalfImageRegion("right"),
+    HalfImageRegion("left"),
+    RectangleRegion(2, 3, 7, 11),
+]
+
+
+class TestProjectionBytes:
+    """The cached-mask projection and the attack constraint are
+    byte-identical to copy-and-zero, signed zeros included."""
+
+    @pytest.mark.parametrize("region", REGIONS, ids=repr)
+    @pytest.mark.parametrize("shape", [(10, 16), (10, 16, 3)])
+    def test_project_matches_copy_and_zero(self, region, shape):
+        mask = _signed_mask(shape, seed=len(shape))
+        projected = region.project(mask)
+        expected = _copy_and_zero(region, mask)
+        assert projected.dtype == np.float64
+        assert projected.tobytes() == expected.tobytes()
+        assert np.array_equal(np.signbit(projected), np.signbit(expected))
+
+    @pytest.mark.parametrize("region", REGIONS, ids=repr)
+    @pytest.mark.parametrize("shape", [(10, 16), (10, 16, 3)])
+    @pytest.mark.parametrize("round_masks", [True, False])
+    def test_constraint_matches_project_round_clip(self, region, shape, round_masks):
+        mask = _signed_mask(shape, seed=7)
+        original = mask.copy()
+        config = AttackConfig(region=region, round_masks=round_masks)
+        expected = _copy_and_zero(region, mask)
+        if round_masks:
+            expected = np.round(expected)
+        expected = np.clip(expected, -255.0, 255.0)
+        assert config.constrain(mask).tobytes() == expected.tobytes()
+        assert mask.tobytes() == original.tobytes()
+
+    @pytest.mark.parametrize("region", REGIONS, ids=repr)
+    def test_allowed_mask_cached_and_read_only(self, region):
+        allowed = region.allowed_mask(10, 16)
+        assert region.allowed_mask(10, 16) is allowed
+        assert not allowed.flags.writeable
+        with pytest.raises(ValueError):
+            allowed[0, 0] = not allowed[0, 0]
+        assert np.array_equal(allowed, region.pixel_mask(10, 16))
+        assert region.pixel_mask(10, 16).flags.writeable

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core import temporal
 from repro.core.config import AttackConfig
 from repro.core.regions import HalfImageRegion
 from repro.core.temporal import TemporalAttack, TemporalObjectives
 from repro.data.sequences import generate_sequence
-from repro.nsga.algorithm import NSGAConfig
+from repro.nsga.algorithm import NSGAII, NSGAConfig
 
 from tests.conftest import SMALL_LENGTH, SMALL_WIDTH
 
@@ -72,3 +73,61 @@ class TestTemporalAttack:
         config = AttackConfig(nsga=NSGAConfig(num_iterations=1, population_size=4, seed=0))
         result = TemporalAttack(yolo_detector, config).attack(list(sequence))
         assert len(result.solutions) == 4
+
+    def test_cache_hits_reported(self, yolo_detector, sequence, monkeypatch):
+        calls = []
+        evaluate = TemporalObjectives.__call__
+
+        def counted(self, mask):
+            calls.append(1)
+            return evaluate(self, mask)
+
+        monkeypatch.setattr(TemporalObjectives, "__call__", counted)
+        config = AttackConfig(
+            nsga=NSGAConfig(num_iterations=4, population_size=8, seed=0),
+            region=HalfImageRegion("right"),
+        )
+        result = TemporalAttack(yolo_detector, config).attack(sequence)
+        assert result.cache_hits > 0
+        assert result.num_queries == len(calls)
+        assert result.num_evaluations == len(calls) + result.cache_hits
+
+
+class TestTemporalAttackOptions:
+    """Attack-level options reach NSGA-II through the shared config."""
+
+    @pytest.fixture()
+    def nsga_configs(self, monkeypatch):
+        seen = []
+
+        class RecordingNSGAII(NSGAII):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                seen.append(self.config)
+
+        monkeypatch.setattr(temporal, "NSGAII", RecordingNSGAII)
+        return seen
+
+    def test_default_config_passes_nsga_unchanged(self, yolo_detector, sequence, nsga_configs):
+        config = AttackConfig(nsga=NSGAConfig(num_iterations=1, population_size=4, seed=0))
+        TemporalAttack(yolo_detector, config).attack(sequence)
+        assert nsga_configs == [config.nsga]
+        assert nsga_configs[0] is config.nsga
+
+    def test_sparse_init_and_annealing_applied(self, yolo_detector, sequence, nsga_configs):
+        config = AttackConfig(
+            nsga=NSGAConfig(num_iterations=1, population_size=4, seed=0),
+            sparse_init_fraction=0.5,
+            anneal_final_window=0.002,
+        )
+        TemporalAttack(yolo_detector, config).attack(sequence)
+        assert nsga_configs[0].initialization.sparse_fraction == 0.5
+        assert nsga_configs[0].annealing.final_window_fraction == 0.002
+
+    def test_fast_search_rejected(self, yolo_detector, sequence):
+        config = AttackConfig(
+            nsga=NSGAConfig(num_iterations=1, population_size=4, seed=0),
+            fast_search=True,
+        )
+        with pytest.raises(ValueError, match="set_fidelity"):
+            TemporalAttack(yolo_detector, config).attack(sequence)

@@ -12,8 +12,8 @@ from repro.detectors.activation_cache import (
     ActivationCacheStore,
     CacheStats,
     CleanActivations,
-    image_digest,
 )
+from repro.digest import content_digest
 
 
 def _scene(seed, shape=(64, 208, 3)):
@@ -23,15 +23,15 @@ def _scene(seed, shape=(64, 208, 3)):
 class TestImageDigest:
     def test_content_keyed(self):
         image = _scene(0)
-        assert image_digest(image) == image_digest(image.copy())
+        assert content_digest(image) == content_digest(image.copy())
         changed = image.copy()
         changed[3, 4, 1] += 1.0
-        assert image_digest(image) != image_digest(changed)
+        assert content_digest(image) != content_digest(changed)
 
     def test_dtype_and_shape_enter_the_key(self):
         image = np.zeros((4, 4, 3))
-        assert image_digest(image) != image_digest(image.astype(np.float32))
-        assert image_digest(image) != image_digest(np.zeros((4, 12)))
+        assert content_digest(image) != content_digest(image.astype(np.float32))
+        assert content_digest(image) != content_digest(np.zeros((4, 12)))
 
 
 class TestActivationCacheStore:

@@ -2,11 +2,13 @@
 
 The fast-search guarantee — the final population carries *exact* objective
 vectors — must hold wherever attacks run: in process, in a process pool,
-and in the persistent shared-memory pool (whose workers re-wrap clean
-activations from shared memory, dropping any architecture-private
-``fidelity_state``; the approximate path must rebuild it transparently).
-A fast-search plan must also produce byte-identical results on every
-backend and worker count, like every other plan.
+and in the persistent pool (whose long-lived workers receive scenes through
+shared memory and keep their clean-activation stores in their own process
+memory; a bundle's architecture-private ``fidelity_state`` is a recompute
+cache the approximate path builds on first use in each worker).  A
+fast-search plan must also produce byte-identical results on every backend
+and worker count, like every other plan, and the persistent pool must leave
+no shared-memory segment behind.
 """
 
 import numpy as np
